@@ -21,7 +21,7 @@ print(f"\n800 centered free energies, edge-rescaled:")
 print(f"  mean {tw.mean():+.3f}, std {tw.std(ddof=1):.3f}")
 
 gue = st.gue_tw_oracle(150, 800, np.random.default_rng(9))
-print(f"GUE largest-eigenvalue oracle (M = 150): mean {gue.mean():+.3f}")
+print(f"GUE largest-eigenvalue oracle (tridiagonal beta = 2 model, M = 150): mean {gue.mean():+.3f}")
 print(f"KS distance polymer vs GUE edge: {st.ks_distance(st.EmpiricalCDF(tw), gue):.4f}")
 
 n_values = np.arange(-2, 3)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sp_stats
+from scipy.integrate import simpson
+from scipy.special import airy
 
 from gibbslines import polymer as pm
 from gibbslines import stats as st_mod
@@ -195,6 +198,42 @@ class TestGapAndAcceptance:
             )
 
 
+def dense_gue_edge(M, n_samples, rng):
+    """Reference route for gue_tw_oracle: full spectra of dense M x M GUE
+    matrices (Re/Im of off-diagonal entries of variance 1/2, diagonal of
+    variance 1), largest eigenvalue kept, same edge scaling."""
+    out = np.empty(n_samples)
+    batch = max(1, int(2e6 / (M * M)))
+    for lo in range(0, n_samples, batch):
+        b = min(batch, n_samples - lo)
+        a = rng.normal(size=(b, M, M)) + 1j * rng.normal(size=(b, M, M))
+        out[lo : lo + b] = np.linalg.eigvalsh((a + np.conj(np.swapaxes(a, 1, 2))) / 2.0)[:, -1]
+    return st_mod.EmpiricalCDF(M ** (1.0 / 6.0) * (out - 2.0 * math.sqrt(M)))
+
+
+def tw2_cdf(s):
+    """GUE Tracy-Widom F_2(s) = det(I - K_Airy) on L^2(s, s + 16), by 60-point
+    Gauss-Legendre quadrature of the Fredholm determinant (Bornemann, Math.
+    Comp. 79, 2010); for s >= -8 the Airy kernel's diagonal beyond s + 16
+    is below 1e-15."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    m = 60
+    t, w = np.polynomial.legendre.leggauss(m)
+    u = (t + 1.0) * 8.0
+    sw = np.sqrt(w * 8.0)
+    diag = np.arange(m)
+    out = np.empty(s.size)
+    for lo in range(0, s.size, 256):
+        x = s[lo : lo + 256, None] + u
+        ai, aip, _, _ = airy(x)
+        dx = x[:, :, None] - x[:, None, :]
+        dx[:, diag, diag] = 1.0
+        k = (ai[:, :, None] * aip[:, None, :] - aip[:, :, None] * ai[:, None, :]) / dx
+        k[:, diag, diag] = aip**2 - x * ai**2
+        out[lo : lo + 256] = np.linalg.det(np.eye(m) - sw[:, None] * k * sw)
+    return out
+
+
 class TestGueOracle:
     def test_valid_cdf(self):
         ecdf = st_mod.gue_tw_oracle(60, 200, np.random.default_rng(3))
@@ -207,10 +246,31 @@ class TestGueOracle:
 
     def test_m_convergence(self):
         rng = np.random.default_rng(4)
-        a = st_mod.gue_tw_oracle(100, 1200, rng)
-        b = st_mod.gue_tw_oracle(200, 1200, rng)
+        a = st_mod.gue_tw_oracle(100, 5000, rng)
+        b = st_mod.gue_tw_oracle(200, 5000, rng)
         assert st_mod.ks_distance(a, b) < 0.08
         assert abs(a.mean() - b.mean()) < 0.1
+
+    @pytest.mark.parametrize("M", [60, 100])
+    def test_matches_dense_gue(self, M):
+        n = 1000
+        tri = st_mod.gue_tw_oracle(M, n, np.random.default_rng(7))
+        dense = dense_gue_edge(M, n, np.random.default_rng(8))
+        assert st_mod.ks_distance(tri, dense) < st_mod.ks_two_sample_critical(n, n, 1e-3)
+
+    def test_f2_moments(self):
+        s = np.linspace(-8.0, 5.0, 1301)
+        f = tw2_cdf(s)
+        mean = s[0] + simpson(1.0 - f, x=s)
+        second = simpson(2.0 * s * np.where(s > 0.0, 1.0 - f, -f), x=s)
+        assert mean == pytest.approx(-1.7711, abs=1e-3)
+        assert second - mean**2 == pytest.approx(0.8132, abs=1e-3)
+
+    def test_matches_tracy_widom_f2(self):
+        n = 5000
+        ecdf = st_mod.gue_tw_oracle(200, n, np.random.default_rng(9))
+        ks = sp_stats.kstest(ecdf.samples, tw2_cdf).statistic
+        assert ks < sp_stats.kstwo.ppf(1.0 - 1e-3, n)
 
     def test_m_floor(self):
         with pytest.raises(ValueError):
@@ -291,3 +351,21 @@ class TestProfilePoints:
         assert prof[1] == pytest.approx(0.0, abs=1e-10)
         assert prof[0] == pytest.approx(-0.5, rel=1e-9)
         assert prof[2] == pytest.approx(-0.5, rel=1e-9)
+
+    def test_matches_interp_loop(self, consts):
+        # n = 0 and the last lattice time take the exact-hit branch
+        N = 32
+        curves = pm.sample_top_curves(1.0, N, 500, seed=1)
+        times = -N + np.arange(curves.shape[1])
+        for n_values in (np.arange(-2, 3), np.array([-1.3, 0.25, N / N**consts.alpha])):
+            for include_sigma in (False, True):
+                scale = N ** (consts.alpha / 2.0) * (consts.sigma_p if include_sigma else 1.0)
+                means, errs = [], []
+                for x in n_values * N**consts.alpha:
+                    vals = np.array([np.interp(x, times, row) for row in curves])
+                    vals = (vals - consts.p * x) / scale
+                    means.append(math.fsum(vals) / vals.size)
+                    errs.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+                prof, err = st_mod.profile_points(curves, -N, consts, N, n_values, include_sigma)
+                assert np.array_equal(prof, means)
+                assert np.array_equal(err, errs)
