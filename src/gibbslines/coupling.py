@@ -126,14 +126,53 @@ def default_window(
     return float(vals.min() - pad), float(vals.max() + pad)
 
 
+def _contract(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """out[.., A, ..] = sum_a x[.., a, ..] mat[a, A] over grid axis ``axis``
+    of a stack of grid functions (draws first).
+
+    Every product is a per-draw ``matmul`` of the same shape, so a draw's
+    result does not depend on which other draws share its stack (one flat
+    gemm over all draws would change the summation blocking with the stack
+    size).
+    """
+    n_draws, dims = x.shape[0], x.shape[1:]
+    m = dims[axis]
+    if axis == len(dims) - 1:
+        return (x.reshape(n_draws, -1, m) @ mat).reshape(x.shape)
+    lead = int(np.prod(dims[:axis]))
+    return (mat.T @ x.reshape(n_draws, lead, m, -1)).reshape(x.shape)
+
+
+def _on_axes(mat: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
+    """View of an (m, m) matrix broadcasting over grid axes ``axis`` and
+    ``axis + 1`` of a stack with ``n_axes`` grid axes."""
+    return mat.reshape((1,) * (axis + 1) + mat.shape + (1,) * (n_axes - axis - 2))
+
+
+def _on_last_axis(rows: np.ndarray, n_axes: int) -> np.ndarray:
+    """View of per-draw (draws, m) rows broadcasting over the last grid axis."""
+    return rows.reshape((rows.shape[0],) + (1,) * (n_axes - 1) + rows.shape[1:])
+
+
+def _interp_rows(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.interp(u[b], cdf[b], grid)`` for u in (0, 1) and rows of
+    a normalized CDF (cdf[b, 0] = 0, cdf[b, -1] = 1), with its arithmetic."""
+    j = (cdf <= u[:, None]).sum(axis=1) - 1
+    c0 = np.take_along_axis(cdf, j[:, None], axis=1)[:, 0]
+    c1 = np.take_along_axis(cdf, j[:, None] + 1, axis=1)[:, 0]
+    slope = (grid[j + 1] - grid[j]) / (c1 - c0)
+    return np.where(u == c0, grid[j], slope * (u - c0) + grid[j])
+
+
 class GrandCouplingEngine:
     """Transfer-sweep machinery for one boundary datum on a fixed grid.
 
     Rows are processed bottom-to-top; within the active row p1 the forward
     functions alpha_j (rows 1..p1 free) and the backward functions (rows
     1..p1-1 free, row p1 pinned at its already-drawn values) meet at the
-    site being drawn.  The bottom-row alphas depend only on the boundary and
-    are cached across draws.
+    site being drawn.  Transfer functions are stacks over draws (leading
+    axis; length 1 when shared by all draws).  The bottom-row alphas depend
+    only on the boundary and are computed once per engine.
     """
 
     def __init__(
@@ -164,181 +203,165 @@ class GrandCouplingEngine:
         self.lo, self.hi = window
         self.m = m
         self.grid = np.linspace(self.lo, self.hi, m)
-        with np.errstate(under="ignore"):
-            # gmat[a, b] = G(grid_b - grid_a)
-            self.gmat = np.exp(hrw.log_g(self.grid[None, :] - self.grid[:, None]))
+        # gmat[a, b] = G(grid_b - grid_a)
+        self.gmat = self._g(self.grid[None, :] - self.grid[:, None])
         self._emats: dict[int, np.ndarray] = {}
         self._bottom_alphas: list[np.ndarray] | None = None
 
     # -- kernel pieces ----------------------------------------------------
+    def _g(self, x) -> np.ndarray:
+        """Increment density G(x)."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.hrw.log_g(x))
+
+    def _w(self, j: int, x) -> np.ndarray:
+        """Bond weight exp(-H_j(x)) of the bond from column j to j+1."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.interaction.bond(j).log_weight(x))
+
     def _emat(self, j: int) -> np.ndarray:
         """exp(-H_j(grid_b - grid_a)) for adjacent free rows."""
         if j not in self._emats:
-            with np.errstate(under="ignore"):
-                self._emats[j] = np.exp(
-                    self.interaction.bond(j).log_weight(self.grid[None, :] - self.grid[:, None])
-                )
+            self._emats[j] = self._w(j, self.grid[None, :] - self.grid[:, None])
         return self._emats[j]
-
-    def _wvec(self, j: int, s: float) -> np.ndarray:
-        """exp(-H_j(s - grid)): bond to a known lower-row value s."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.interaction.bond(j).log_weight(s - self.grid))
-
-    def _g_from(self, v: float) -> np.ndarray:
-        """G(grid - v)."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.hrw.log_g(self.grid - v))
-
-    def _g_to(self, v: float) -> np.ndarray:
-        """G(v - grid)."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.hrw.log_g(v - self.grid))
-
-    # -- forward transfer functions ---------------------------------------
-    def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
-        """alpha_j for j = 1..n with rows 1..p1 free and the row below pinned
-        at ``below`` (a length-T vector of values, -inf allowed)."""
-        x = self.boundary.x_vec
-        n = self.n
-        vecs = []
-        for i in range(1, p1 + 1):
-            v = self._g_from(x[i - 1])
-            if i >= 2:
-                v = v * np.exp(self.interaction.bond(0).log_weight(self.grid - x[i - 2]))
-            vecs.append(v)
-        # the bond-0 factor to the row below has constant argument (it sits at
-        # the entrance column) and drops out of every normalized conditional
-        alpha = vecs[0]
-        for v in vecs[1:]:
-            alpha = np.multiply.outer(alpha, v)
-        alphas = [self._rescaled(alpha)]
-        letters = "abcdefgh"[:p1]
-        uppers = letters.upper()
-        for j in range(1, n):
-            operands = [alphas[-1]]
-            script = [letters]
-            for i in range(p1):
-                operands.append(self.gmat)
-                script.append(letters[i] + uppers[i])
-            for i in range(p1 - 1):
-                operands.append(self._emat(j))
-                script.append(letters[i] + uppers[i + 1])
-            operands.append(self._wvec(j, below[j + 1]))
-            script.append(letters[p1 - 1])
-            sub = ",".join(script) + "->" + uppers
-            nxt = np.einsum(sub, *operands, optimize=True)
-            alphas.append(self._rescaled(nxt))
-        return alphas
 
     @staticmethod
     def _rescaled(arr: np.ndarray) -> np.ndarray:
-        peak = arr.max()
-        if not peak > 0.0:
+        """Divide each draw's grid function by its own peak."""
+        peak = arr.reshape(arr.shape[0], -1).max(axis=1)
+        if not np.all(peak > 0.0):
             raise PrecisionError("transfer function underflowed to zero mass")
-        return arr / peak
+        return arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1))
+
+    # -- forward transfer functions ---------------------------------------
+    def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
+        """alpha_j for j = 1..n, each of shape (draws,) + (m,)*p1, with rows
+        1..p1 free and the row below pinned at ``below`` (draws x T values,
+        -inf allowed)."""
+        x = self.boundary.x_vec
+        grid = self.grid
+        alpha = self._g(grid - x[0])
+        for i in range(1, p1):
+            alpha = np.multiply.outer(alpha, self._g(grid - x[i]) * self._w(0, grid - x[i - 1]))
+        # the bond-0 factor to the row below has constant argument (it sits at
+        # the entrance column) and drops out of every normalized conditional
+        alphas = [self._rescaled(alpha[None])]
+        for j in range(1, self.n):
+            nxt = alphas[-1] * _on_last_axis(self._w(j, below[:, j + 1, None] - grid), p1)
+            for i in range(p1 - 1, -1, -1):
+                nxt = _contract(nxt, self.gmat, i)
+                if i:
+                    nxt = nxt * _on_axes(self._emat(j), i - 1, p1)
+            alphas.append(self._rescaled(nxt))
+        return alphas
 
     def bottom_alphas(self) -> list[np.ndarray]:
         if self._bottom_alphas is None:
             z = np.asarray(self.boundary.z_vec)
-            self._bottom_alphas = self._alphas(self.k, z)
+            self._bottom_alphas = self._alphas(self.k, z[None])
         return self._bottom_alphas
 
     # -- backward (pinned-row) transfer functions --------------------------
     def _beta_init(self, p1: int) -> np.ndarray:
-        """beta at column n: everything to the right is the exit vector."""
-        if p1 == 1:
-            return np.ones(1)
+        """beta at column n for p1 >= 2: everything to the right is the exit
+        vector; shape (1,) + (m,)*(p1-1)."""
         y = self.boundary.y_vec
         j = self.n  # bond n couples column n to column n+1 = T-1
-        vecs = []
-        for i in range(1, p1):
-            v = self._g_to(y[i - 1]) * np.exp(
-                self.interaction.bond(j).log_weight(y[i] - self.grid)
+        beta = self._g(y[0] - self.grid) * self._w(j, y[1] - self.grid)
+        for i in range(1, p1 - 1):
+            beta = np.multiply.outer(
+                beta, self._g(y[i] - self.grid) * self._w(j, y[i + 1] - self.grid)
             )
-            vecs.append(v)
-        beta = vecs[0]
-        for v in vecs[1:]:
-            beta = np.multiply.outer(beta, v)
-        return self._rescaled(beta)
+        return self._rescaled(beta[None])
 
-    def _beta_step(self, beta: np.ndarray, p1: int, j: int, s_right: float) -> np.ndarray:
-        """beta_{j} from beta_{j+1}: rows 1..p1-1 free, row p1 pinned at
-        s_right = its value at column j+1."""
-        if p1 == 1:
-            return beta
-        q = p1 - 1
-        letters = "abcdefgh"[:q]
-        uppers = letters.upper()
-        operands = [beta]
-        script = [uppers]
+    def _beta_step(self, beta: np.ndarray, j: int, s_right: np.ndarray) -> np.ndarray:
+        """beta_j from beta_{j+1}: rows 1..p1-1 free, row p1 pinned at
+        s_right (one value per draw) = its value at column j+1."""
+        q = beta.ndim - 1
+        nxt = beta
         for i in range(q):
-            operands.append(self.gmat)
-            script.append(letters[i] + uppers[i])
-        for i in range(q - 1):
-            operands.append(self._emat(j))
-            script.append(letters[i] + uppers[i + 1])
-        operands.append(self._wvec(j, s_right))
-        script.append(letters[q - 1])
-        sub = ",".join(script) + "->" + letters
-        return self._rescaled(np.einsum(sub, *operands, optimize=True))
+            if i:
+                nxt = nxt * _on_axes(self._emat(j), i - 1, q)
+            nxt = _contract(nxt, self.gmat.T, i)
+        return self._rescaled(nxt * _on_last_axis(self._w(j, s_right[:, None] - self.grid), q))
 
     # -- site conditionals --------------------------------------------------
     def _site_values(
-        self, p1: int, p2: int, alphas, beta, s_right: float, below_right: float
+        self, p2: int, alpha, beta, s_right: np.ndarray, below_right: np.ndarray
     ) -> np.ndarray:
-        """Unnormalized conditional density of the point (p1, p2) on the grid.
+        """Unnormalized conditional densities (draws x m) of the point
+        (p1, p2) on the grid, peak 1 per draw.
 
-        ``s_right``  -- value of row p1 at column p2+1 (exit value if p2 = n)
-        ``below_right`` -- value of row p1+1 at column p2+1 (bottom curve for
+        ``alpha``  -- alpha_{p2} of row p1
+        ``beta``   -- backward function at column p2 (None for p1 = 1)
+        ``s_right``  -- values of row p1 at column p2+1 (exit value if p2 = n)
+        ``below_right`` -- values of row p1+1 at column p2+1 (bottom curve for
         the lowest row)
         """
-        u = self._g_to(s_right) * np.exp(
-            self.interaction.bond(p2).log_weight(below_right - self.grid)
-        )
-        alpha = alphas[p2 - 1]
-        if p1 == 1:
+        grid = self.grid
+        u = self._g(s_right[:, None] - grid) * self._w(p2, below_right[:, None] - grid)
+        if beta is None:
             vals = alpha * u
         else:
-            letters = "abcdefgh"[: p1 - 1]
-            sub = letters + "x," + letters + "->x"
-            vals = np.einsum(sub, alpha, beta, optimize=True) * u
-        peak = vals.max()
-        if not peak > 0.0:
+            size = beta[0].size
+            joint = beta.reshape(beta.shape[0], 1, size) @ alpha.reshape(alpha.shape[0], size, -1)
+            vals = joint[:, 0] * u
+        peak = vals.max(axis=1)
+        if not np.all(peak > 0.0):
             raise PrecisionError("site conditional underflowed on the grid")
-        return vals / peak
+        return vals / peak[:, None]
+
+    def _row_start(self, p1: int, vals: np.ndarray):
+        """(values of the row below, alphas, exit-column beta) for row p1."""
+        if p1 == self.k:
+            below = np.asarray(self.boundary.z_vec)[None]
+            alphas = self.bottom_alphas()
+        else:
+            below = vals[:, p1]
+            alphas = self._alphas(p1, below)
+        return below, alphas, (self._beta_init(p1) if p1 > 1 else None)
 
     # -- sampling -----------------------------------------------------------
     def sample(self, omega: np.ndarray) -> np.ndarray:
-        """Fill all interior points from the uniform vector omega (length
-        k(T-2), consumed in the reverse-lexicographic draw order) and return
-        the full (k, T) value array."""
+        """Evaluate the coupling at one sample point or a batch of them.
+
+        ``omega`` has shape (k(T-2),) or (B, k(T-2)) with entries in (0, 1);
+        omega[..., (i-1)(T-2) + (j-1)] drives the interior point (i, j), and
+        the points are filled in reverse lexicographic order.  Returns the
+        (k, T) value array, or (B, k, T) for a batch.  Each draw's output is
+        bit-identical whatever batch it is drawn in.
+        """
         k, T, n = self.k, self.T, self.n
         omega = np.asarray(omega, dtype=float)
-        if omega.shape != (k * n,):
-            raise ValueError(f"omega must have length k(T-2) = {k * n}")
-        if n and (omega.min() <= 0.0 or omega.max() >= 1.0):
+        if omega.ndim not in (1, 2) or omega.shape[-1] != k * n:
+            raise ValueError(
+                f"omega must have shape (k(T-2),) or (B, k(T-2)) with k(T-2) = {k * n}"
+            )
+        if not np.all((omega > 0.0) & (omega < 1.0)):
             raise ValueError("uniforms must lie strictly in (0, 1)")
-        vals = np.empty((k, T))
-        vals[:, 0] = self.boundary.x_vec
-        vals[:, -1] = self.boundary.y_vec
-        if n == 0:
-            return vals
-        order = [(i, j) for i in range(1, k + 1) for j in range(1, n + 1)]
-        for p1 in range(k, 0, -1):
-            below = np.asarray(self.boundary.z_vec) if p1 == k else vals[p1]
-            alphas = self.bottom_alphas() if p1 == k else self._alphas(p1, below)
-            beta = self._beta_init(p1)
+        draws = omega if omega.ndim == 2 else omega[None]
+        vals = np.empty((draws.shape[0], k, T))
+        vals[:, :, 0] = self.boundary.x_vec
+        vals[:, :, -1] = self.boundary.y_vec
+        # at most m draws at a time: no stacked array outgrows one bottom-row
+        # transfer function (m^k entries)
+        for start in range(0, draws.shape[0] if n else 0, self.m):
+            self._fill(vals[start : start + self.m], draws[start : start + self.m])
+        return vals if omega.ndim == 2 else vals[0]
+
+    def _fill(self, vals: np.ndarray, omega: np.ndarray) -> None:
+        n = self.n
+        for p1 in range(self.k, 0, -1):
+            below, alphas, beta = self._row_start(p1, vals)
             for p2 in range(n, 0, -1):
-                s_right = vals[p1 - 1, p2 + 1] if p2 < n else self.boundary.y_vec[p1 - 1]
-                dens = self._site_values(p1, p2, alphas, beta, s_right, below[p2 + 1])
+                dens = self._site_values(
+                    p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
+                )
                 cdf = trapezoid_cdf(dens, 1.0)
-                cdf /= cdf[-1]
-                idx = order.index((p1, p2))
-                vals[p1 - 1, p2] = np.interp(omega[idx], cdf, self.grid)
-                if p2 > 1:
-                    beta = self._beta_step(beta, p1, p2 - 1, vals[p1 - 1, p2])
-        return vals
+                cdf /= cdf[:, -1:]
+                vals[:, p1 - 1, p2] = _interp_rows(omega[:, (p1 - 1) * n + p2 - 1], cdf, self.grid)
+                if beta is not None and p2 > 1:
+                    beta = self._beta_step(beta, p2 - 1, vals[:, p1 - 1, p2])
 
     def site_density(self, point, assigned: dict) -> GridDensity:
         """Normalized conditional density of ``point`` given values on its
@@ -348,19 +371,19 @@ class GrandCouplingEngine:
         expected = order_points(k, self.T).a_set(point)
         if set(assigned.keys()) != set(expected):
             raise ValueError("assigned values must cover exactly the successor set")
-        vals = np.empty((k, self.T))
-        vals[:, 0] = self.boundary.x_vec
-        vals[:, -1] = self.boundary.y_vec
+        vals = np.empty((1, k, self.T))
+        vals[0, :, 0] = self.boundary.x_vec
+        vals[0, :, -1] = self.boundary.y_vec
         for (i, j), v in assigned.items():
-            vals[i - 1, j] = float(v)
-        below = np.asarray(self.boundary.z_vec) if p1 == k else vals[p1]
-        alphas = self.bottom_alphas() if p1 == k else self._alphas(p1, below)
-        beta = self._beta_init(p1)
-        for j in range(n, p2, -1):
-            beta = self._beta_step(beta, p1, j - 1, vals[p1 - 1, j])
-        s_right = vals[p1 - 1, p2 + 1] if p2 < n else self.boundary.y_vec[p1 - 1]
-        dens = self._site_values(p1, p2, alphas, beta, s_right, below[p2 + 1])
-        return GridDensity(lo=self.lo, hi=self.hi, values=dens).normalized()
+            vals[0, i - 1, j] = float(v)
+        below, alphas, beta = self._row_start(p1, vals)
+        if beta is not None:
+            for j in range(n, p2, -1):
+                beta = self._beta_step(beta, j - 1, vals[:, p1 - 1, j])
+        dens = self._site_values(
+            p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
+        )
+        return GridDensity(lo=self.lo, hi=self.hi, values=dens[0]).normalized()
 
 
 def conditional_density(
@@ -439,17 +462,10 @@ def monotonicity_check(
         eps_grid = 1e-8 * (window[1] - window[0])
     eng_lo = GrandCouplingEngine(b_low, T, hrw, interaction, m, window)
     eng_hi = GrandCouplingEngine(b_high, T, hrw, interaction, m, window)
-    n_sites = k * (T - 2)
-    max_violation = 0.0
-    n_violations = 0
-    for _ in range(n_draws):
-        omega = rng.uniform(size=n_sites) if n_sites else np.empty(0)
-        lo_curves = eng_lo.sample(omega)
-        hi_curves = eng_hi.sample(omega)
-        gap = float((lo_curves - hi_curves).max())
-        max_violation = max(max_violation, gap)
-        if gap > eps_grid:
-            n_violations += 1
+    omega = rng.uniform(size=(n_draws, k * (T - 2)))
+    gaps = (eng_lo.sample(omega) - eng_hi.sample(omega)).reshape(n_draws, k * T).max(axis=1)
+    max_violation = float(gaps.max(initial=0.0))
+    n_violations = int(np.count_nonzero(gaps > eps_grid))
     report = StatReport(
         meta={"n_draws": n_draws, "grid_m": m, "eps_grid": eps_grid, "k": k, "T": T}
     )

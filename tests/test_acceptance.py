@@ -220,7 +220,7 @@ def test_criterion_5_grand_monotone_coupling():
         g=bnd.z_vec,
     )
     eng = cp.GrandCouplingEngine(bnd, T, HRW, m=256)
-    draws = np.array([eng.sample(rng.uniform(size=k * (T - 2))) for _ in range(5000)])
+    draws = eng.sample(rng.uniform(size=(5000, k * (T - 2))))
     rej, _ = gb.sample_ensembles_rejection(spec, 5000, rng)
     ks_law = 0.0
     for i in (0, 1):

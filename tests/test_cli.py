@@ -33,6 +33,18 @@ class TestDeterminism:
         assert (tmp_path / "b.csv").read_bytes() == w1_csv
         assert (tmp_path / "b.json").read_bytes() == w1_json
 
+    def test_couple_rows_prefix_of_longer_run(self, tmp_path):
+        # draw i depends on its own omega only, not on the batch it is drawn in
+        data = []
+        for n in (3, 7):
+            out = tmp_path / f"cpl{n}"
+            assert run(["couple", "--k", "2", "--t", "6", "--seed", "3", "--samples", str(n),
+                        "--out", str(out)]) == 0
+            lines = (tmp_path / f"cpl{n}.csv").read_bytes().splitlines(keepends=True)
+            data.append([l for l in lines if not l.startswith(b"#")][1:])
+        assert len(data[0]) == 3 and len(data[1]) == 7
+        assert data[1][:3] == data[0]
+
     def test_csv_format_contract(self, tmp_path):
         out = tmp_path / "c"
         assert run(["polymer", "--n", "4", "--samples", "2", "--out", str(out)]) == 0

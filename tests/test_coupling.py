@@ -9,6 +9,99 @@ from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 HRW = HrwSpec.log_gamma(1.0)
 
 
+# -- per-draw reference route: one einsum per transfer step, np.interp ------
+
+def _exp(log_values):
+    with np.errstate(under="ignore"):
+        return np.exp(log_values)
+
+
+def _ref_alphas(eng, p1, below):
+    """alpha_j for j = 1..n, rows 1..p1 free, row below pinned at ``below``."""
+    grid, x, bond = eng.grid, eng.boundary.x_vec, eng.interaction.bond
+    alpha = _exp(eng.hrw.log_g(grid - x[0]))
+    for i in range(1, p1):
+        v = _exp(eng.hrw.log_g(grid - x[i]) + bond(0).log_weight(grid - x[i - 1]))
+        alpha = np.multiply.outer(alpha, v)
+    alphas = [alpha / alpha.max()]
+    letters = "abcdefgh"[:p1]
+    uppers = letters.upper()
+    for j in range(1, eng.n):
+        emat = _exp(bond(j).log_weight(grid[None, :] - grid[:, None]))
+        operands, script = [alphas[-1]], [letters]
+        for i in range(p1):
+            operands.append(eng.gmat)
+            script.append(letters[i] + uppers[i])
+        for i in range(p1 - 1):
+            operands.append(emat)
+            script.append(letters[i] + uppers[i + 1])
+        operands.append(_exp(bond(j).log_weight(below[j + 1] - grid)))
+        script.append(letters[p1 - 1])
+        nxt = np.einsum(",".join(script) + "->" + uppers, *operands, optimize=True)
+        alphas.append(nxt / nxt.max())
+    return alphas
+
+
+def _ref_beta_init(eng, p1):
+    y, j, grid = eng.boundary.y_vec, eng.n, eng.grid
+    beta = np.ones(1)
+    for i in range(1, p1):
+        v = _exp(eng.hrw.log_g(y[i - 1] - grid) + eng.interaction.bond(j).log_weight(y[i] - grid))
+        beta = v if i == 1 else np.multiply.outer(beta, v)
+    return beta / beta.max()
+
+
+def _ref_beta_step(eng, beta, p1, j, s_right):
+    if p1 == 1:
+        return beta
+    grid, bond = eng.grid, eng.interaction.bond
+    q = p1 - 1
+    letters = "abcdefgh"[:q]
+    uppers = letters.upper()
+    emat = _exp(bond(j).log_weight(grid[None, :] - grid[:, None]))
+    operands, script = [beta], [uppers]
+    for i in range(q):
+        operands.append(eng.gmat)
+        script.append(letters[i] + uppers[i])
+    for i in range(q - 1):
+        operands.append(emat)
+        script.append(letters[i] + uppers[i + 1])
+    operands.append(_exp(bond(j).log_weight(s_right - grid)))
+    script.append(letters[q - 1])
+    nxt = np.einsum(",".join(script) + "->" + letters, *operands, optimize=True)
+    return nxt / nxt.max()
+
+
+def per_draw_sample(eng, omega):
+    """One draw by the per-site reverse-lexicographic fill: the reference
+    for the batched ``GrandCouplingEngine.sample``."""
+    k, n, grid = eng.k, eng.n, eng.grid
+    vals = np.empty((k, eng.T))
+    vals[:, 0] = eng.boundary.x_vec
+    vals[:, -1] = eng.boundary.y_vec
+    order = [(i, j) for i in range(1, k + 1) for j in range(1, n + 1)]
+    for p1 in range(k, 0, -1):
+        below = np.asarray(eng.boundary.z_vec) if p1 == k else vals[p1]
+        alphas = _ref_alphas(eng, p1, below)
+        beta = _ref_beta_init(eng, p1)
+        for p2 in range(n, 0, -1):
+            u = _exp(
+                eng.hrw.log_g(vals[p1 - 1, p2 + 1] - grid)
+                + eng.interaction.bond(p2).log_weight(below[p2 + 1] - grid)
+            )
+            alpha = alphas[p2 - 1]
+            if p1 == 1:
+                dens = alpha * u
+            else:
+                sub = "abcdefgh"[: p1 - 1]
+                dens = np.einsum(sub + "x," + sub + "->x", alpha, beta, optimize=True) * u
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+            vals[p1 - 1, p2] = np.interp(omega[order.index((p1, p2))], cdf / cdf[-1], grid)
+            if p2 > 1:
+                beta = _ref_beta_step(eng, beta, p1, p2 - 1, vals[p1 - 1, p2])
+    return vals
+
+
 def free_boundary(k, T, x=None, y=None):
     x = x if x is not None else [0.0] * k
     y = y if y is not None else [0.0] * k
@@ -115,7 +208,7 @@ class TestGrandCouplingSample:
         zero = gb.InteractionSpec.zero(0, T - 1)
         eng = cp.GrandCouplingEngine(b, T, HRW, zero, m=512)
         rng = np.random.default_rng(2)
-        draws = np.array([eng.sample(rng.uniform(size=T - 2)) for _ in range(4000)])
+        draws = eng.sample(rng.uniform(size=(4000, T - 2)))
         free = sample_bridges_sequential(BridgeSpec(0, T - 1, 0.0, 1.0, HRW), 4000, rng)
         for t in (1, 2, 3):
             d = ks_distance(EmpiricalCDF(draws[:, 0, t]), EmpiricalCDF(free[:, t]))
@@ -130,7 +223,7 @@ class TestGrandCouplingSample:
         )
         rng = np.random.default_rng(3)
         eng = cp.GrandCouplingEngine(b, T, HRW, m=256)
-        draws = np.array([eng.sample(rng.uniform(size=k * (T - 2))) for _ in range(3000)])
+        draws = eng.sample(rng.uniform(size=(3000, k * (T - 2))))
         rej, _ = gb.sample_ensembles_rejection(spec, 3000, rng)
         worst = 0.0
         for i in (0, 1):
@@ -147,6 +240,66 @@ class TestGrandCouplingSample:
         with pytest.raises(ValueError):
             cp.grand_coupling_sample(b, np.array([0.5, 1.0]), 1, 4, HRW)
 
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            np.full((3, 3), 0.5),  # wrong trailing length
+            np.full((2, 3, 4), 0.5),  # ndim > 2
+            np.array(0.5),  # ndim 0
+            np.array([[0.2, 0.3, 0.4, 0.5], [0.2, 0.3, 1.0, 0.5]]),  # a later row hits 1
+            np.array([[0.2, 0.3, 0.4, 0.5], [0.0, 0.3, 0.4, 0.5]]),  # a later row hits 0
+            np.array([[0.2, 0.3, 0.4, 0.5], [0.2, np.nan, 0.4, 0.5]]),
+        ],
+    )
+    def test_batch_validation(self, omega):
+        eng = cp.GrandCouplingEngine(free_boundary(2, 4), 4, HRW)
+        with pytest.raises(ValueError):
+            eng.sample(omega)
+
+    def test_empty_batch(self):
+        eng = cp.GrandCouplingEngine(free_boundary(2, 4), 4, HRW)
+        assert eng.sample(np.empty((0, 4))).shape == (0, 2, 4)
+        eng2 = cp.GrandCouplingEngine(free_boundary(2, 2), 2, HRW)
+        out = eng2.sample(np.empty((3, 0)))
+        assert out.shape == (3, 2, 2) and np.all(out[:, :, 0] == 0.0)
+
+
+class TestBatchedSample:
+    @pytest.mark.parametrize("interaction", ["exp", "zero"])
+    @pytest.mark.parametrize("z", [-np.inf, -1.5])
+    @pytest.mark.parametrize("T", [2, 3, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_per_draw_reference(self, k, T, z, interaction):
+        b = cp.BoundaryTriple([1.0, -0.5][:k], [1.5, 0.0][:k], [z] * T)
+        inter = getattr(gb.InteractionSpec, interaction)(0, T - 1)
+        eng = cp.GrandCouplingEngine(b, T, HRW, inter)
+        omega = np.random.default_rng(10 * k + T).uniform(size=(5, k * (T - 2)))
+        batched = eng.sample(omega)
+        ref = np.array([per_draw_sample(eng, om) for om in omega])
+        assert batched.shape == (5, k, T)
+        assert np.max(np.abs(batched - ref)) <= 1e-12
+        assert np.array_equal(eng.sample(omega[0]), batched[0])
+
+    def test_draw_independent_of_batch(self):
+        T = 6
+        eng = cp.GrandCouplingEngine(cp.BoundaryTriple([1.0, -0.5], [1.5, 0.0], [-2.0] * T), T, HRW)
+        omega = np.random.default_rng(11).uniform(size=(9, 2 * (T - 2)))
+        full = eng.sample(omega)
+        assert np.array_equal(eng.sample(omega[2:7]), full[2:7])
+        assert np.array_equal(eng.sample(omega[::-1]), full[::-1])
+        assert np.array_equal(np.array([eng.sample(om) for om in omega]), full)
+        assert np.array_equal(np.array([eng.sample(om[None])[0] for om in omega]), full)
+
+    def test_batch_larger_than_grid(self):
+        # 300 draws at m = 256 are filled in two chunks
+        T = 5
+        eng = cp.GrandCouplingEngine(cp.BoundaryTriple([0.5], [1.0], [-1.0] * T), T, HRW, m=256)
+        omega = np.random.default_rng(12).uniform(size=(300, T - 2))
+        full = eng.sample(omega)
+        assert np.array_equal(eng.sample(omega[200:300]), full[200:300])
+        assert np.array_equal(eng.sample(omega[::-1]), full[::-1])
+        assert np.array_equal(np.array([eng.sample(om) for om in omega]), full)
+
 
 class TestMonotonicity:
     def test_identical_boundaries_identical_output(self):
@@ -158,6 +311,17 @@ class TestMonotonicity:
         b_lo = cp.BoundaryTriple([1.0, -0.5], [1.5, 0.0], [-2.0] * 6)
         b_hi = cp.BoundaryTriple([1.5, 0.0], [2.5, 0.5], [-1.0] * 6)
         rep = cp.monotonicity_check(b_lo, b_hi, 150, 2, 6, np.random.default_rng(5), HRW)
+        assert rep["n_violations"][0] == 0.0
+        assert rep["max_violation"][0] <= rep.meta["eps_grid"]
+
+    def test_cli_couple_config_no_violation(self):
+        # the `gibbslines couple --k 2 --t 16 --raise-by 0.5` boundary pair
+        k, T = 2, 16
+        x = [0.0, -2.0]
+        b_lo = cp.BoundaryTriple(x, x, [-4.0] * T)
+        rep = cp.monotonicity_check(
+            b_lo, b_lo.shifted(0.5), 500, k, T, np.random.default_rng(13), HRW, m=256
+        )
         assert rep["n_violations"][0] == 0.0
         assert rep["max_violation"][0] <= rep.meta["eps_grid"]
 
