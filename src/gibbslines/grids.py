@@ -49,17 +49,12 @@ def inverse_cdf_rows(x_rows: np.ndarray, pdf_rows: np.ndarray, u: np.ndarray) ->
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Nonnegative values tabulated on the uniform grid [lo, hi].
-
-    The represented function is ``values * exp(log_scale)``; the extra log
-    offset lets heavily rescaled conditional densities stay in range.  For a
-    probability density the trapezoid mass must be within 1e-6 of 1.
-    """
+    """Nonnegative values tabulated on the uniform grid [lo, hi].  For a
+    probability density the trapezoid mass must be within 1e-6 of 1."""
 
     lo: float
     hi: float
     values: np.ndarray
-    log_scale: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -70,15 +65,6 @@ class GridDensity:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if np.any(values < 0.0) or np.any(~np.isfinite(values)):
             raise ValueError("density values must be finite and nonnegative")
-
-    @classmethod
-    def from_log_values(cls, lo: float, hi: float, log_values: np.ndarray) -> "GridDensity":
-        """Build from log-density values, absorbing the maximum into log_scale."""
-        log_values = np.asarray(log_values, dtype=float)
-        peak = np.max(log_values)
-        if not np.isfinite(peak):
-            raise PrecisionError("conditional density underflowed on its whole grid")
-        return cls(lo=lo, hi=hi, values=np.exp(log_values - peak), log_scale=float(peak))
 
     @property
     def m(self) -> int:
@@ -93,21 +79,21 @@ class GridDensity:
         return np.linspace(self.lo, self.hi, self.m)
 
     def mass(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.step) * np.exp(self.log_scale))
+        return float(np.trapezoid(self.values, dx=self.step))
 
     def normalized(self) -> "GridDensity":
         total = np.trapezoid(self.values, dx=self.step)
         if not total > 0.0:
             raise PrecisionError("cannot normalize a zero-mass density")
-        return GridDensity(self.lo, self.hi, self.values / total, 0.0)
+        return GridDensity(self.lo, self.hi, self.values / total)
 
     def pdf(self, x) -> np.ndarray:
-        return np.interp(x, self.x, self.values, left=0.0, right=0.0) * np.exp(self.log_scale)
+        return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
     def log_pdf(self, x) -> np.ndarray:
         with np.errstate(divide="ignore"):
             logv = np.log(self.values)
-        return np.interp(x, self.x, logv, left=-np.inf, right=-np.inf) + self.log_scale
+        return np.interp(x, self.x, logv, left=-np.inf, right=-np.inf)
 
     def cdf_values(self) -> np.ndarray:
         c = trapezoid_cdf(self.values, self.step)

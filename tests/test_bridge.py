@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_sequential_paths
 
 from gibbslines import bridge as br
 from gibbslines.errors import PrecisionError, ResourceLimitError
+from gibbslines.grids import inverse_cdf_rows
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 
@@ -22,6 +24,25 @@ def quadrature_midpoint_cdf(hrw_spec, T, t, x, y, lo, hi, n=4000):
     q = np.exp(logq - logq.max())
     cdf = np.concatenate([[0.0], np.cumsum((q[1:] + q[:-1]) / 2 * np.diff(u))])
     return u, cdf / cdf[-1]
+
+
+def reference_mcmc_sweep(paths, spec, rng, m):
+    """The former bridge Gibbs sweep (one rng.uniform call per site), in place."""
+    T = spec.steps
+    s_lo, s_hi = spec.hrw.support()
+    for j in range(1, T):
+        left = paths[:, j - 1]
+        right = paths[:, j + 1]
+        grids = br._conditional_grid(left + s_lo, left + s_hi, right - s_hi, right - s_lo, m)
+        log_pdf = spec.hrw.log_g(grids - left[:, None]) + spec.hrw.log_g(
+            right[:, None] - grids
+        )
+        peak = log_pdf.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
+            raise PrecisionError("bridge MCMC conditional underflowed")
+        with np.errstate(under="ignore"):
+            pdf = np.exp(log_pdf - peak)
+        paths[:, j] = inverse_cdf_rows(grids, pdf, rng.uniform(size=paths.shape[0]))
 
 
 def one_sample_ks(samples, u, cdf):
@@ -90,6 +111,19 @@ class TestNStepDensity:
         with pytest.raises(ResourceLimitError):
             br.n_step_density(g, 500, max_width=100.0)
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [256, 512, 4096])
+    def test_cached_built_from_n_minus_one_bit_identical(self, theta, m):
+        spec = br.HrwSpec.log_gamma(theta)
+        g = br.hrw_density(spec, m)
+        one = br._step_density_cached(spec, 1, m)
+        assert np.array_equal(one.values, g.values) and (one.lo, one.hi) == (g.lo, g.hi)
+        for n in (2, 3, 5, 17, 49):
+            cached = br._step_density_cached(spec, n, m)
+            direct = br.n_step_density(g, n)
+            assert np.array_equal(cached.values, direct.values), n
+            assert (cached.lo, cached.hi) == (direct.lo, direct.hi), n
+
 
 class TestSequentialSampler:
     def test_single_step_deterministic(self, hrw):
@@ -134,6 +168,29 @@ class TestSequentialSampler:
         emp = np.arange(1, z.size + 1) / z.size
         assert np.max(np.abs(emp - ndtr(z))) < 0.03
 
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_single_generator_matches_reference(self, hrw, T):
+        spec = br.BridgeSpec(0, T, 0.5, -1.0, hrw)
+        got = br.sample_bridges_sequential(spec, 40, np.random.default_rng(11), m=256)
+        rng = np.random.default_rng(11)
+        want = reference_sequential_paths(hrw, T, np.full(40, 0.5), np.full(40, -1.0), rng, 256)
+        assert np.array_equal(got, want)
+
+    def test_per_sample_generators_match_one_sample_draws(self, hrw):
+        spec = br.BridgeSpec(0, 6, 0.0, 1.0, hrw)
+        seeds = [np.random.SeedSequence(3, spawn_key=(i,)) for i in range(9)]
+        batch = br.sample_bridges_sequential(spec, 9, [np.random.default_rng(s) for s in seeds])
+        loop = [br.sample_bridge_sequential(spec, np.random.default_rng(s)) for s in seeds]
+        assert np.array_equal(batch, np.array(loop))
+
+    def test_generator_sequence_length_checked(self, hrw):
+        spec = br.BridgeSpec(0, 4, 0.0, 1.0, hrw)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ValueError):
+            br.sample_bridges_sequential(spec, 4, rngs)
+        with pytest.raises(ValueError):
+            br.sample_bridges_mcmc(spec, 2, 1, rngs)
+
     def test_shift_invariance(self, hrw):
         # bridge from (t0,x) to (t1,y) = affine shift of bridge from (0,0)
         rng_a = np.random.default_rng(5)
@@ -159,9 +216,21 @@ class TestMcmcSampler:
         paths = br.sample_bridges_sequential(spec, 8000, rng)
         u, cdf = quadrature_midpoint_cdf(hrw, T, 5, 0.0, 3.0, -14.0, 17.0)
         before = one_sample_ks(paths[:, 5], u, cdf)
-        br._mcmc_sweep(paths, spec, rng, 512)
+        paths = br.sample_bridges_mcmc(spec, 8000, 1, rng, init=paths)
         after = one_sample_ks(paths[:, 5], u, cdf)
         assert before < 0.02 and after < 0.02
+
+    @pytest.mark.parametrize("T", [1, 2, 6])
+    def test_single_generator_matches_reference_sweeps(self, hrw, T):
+        spec = br.BridgeSpec(0, T, 0.5, -0.25, hrw)
+        got = br.sample_bridges_mcmc(spec, 30, 4, np.random.default_rng(12), m=256)
+        rng = np.random.default_rng(12)
+        frac = np.linspace(0.0, 1.0, T + 1)
+        want = spec.x + np.tile(frac, (30, 1)) * (spec.y - spec.x)
+        want[:, 0], want[:, T] = spec.x, spec.y
+        for _ in range(4):
+            reference_mcmc_sweep(want, spec, rng, 256)
+        assert np.array_equal(got, want)
 
     def test_convergence_from_chord(self, hrw):
         # 200 sweeps from a cold start agree with the exact sampler

@@ -4,11 +4,47 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbslines import cli
+from gibbslines import bridge, cli, gibbs
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def data_lines(path):
+    """The CSV rows after the metadata block and the header, as bytes."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return [l for l in lines if not l.startswith(b"#")][1:]
+
+
+def csv_values(path):
+    return np.array([float(l.split(b",")[-1]) for l in data_lines(path)])
+
+
+# the three sampling jobs: argv, and one sample drawn alone on index stream i
+JOBS = {
+    "bridge": (
+        ["bridge", "--t", "6", "--y", "0.5"],
+        lambda rng: bridge.sample_bridge_sequential(
+            bridge.BridgeSpec(0, 6, 0.0, 0.5, bridge.HrwSpec.log_gamma(1.0)), rng
+        ),
+    ),
+    "rejection": (
+        ["ensemble", "--k", "2", "--t", "5", "--n-mc", "100"],
+        lambda rng: gibbs.sample_ensemble_rejection(ladder(2, 5), rng)[0].curves,
+    ),
+    "mcmc": (
+        ["ensemble", "--k", "2", "--t", "5", "--n-mc", "100", "--sweeps", "3"],
+        lambda rng: gibbs.sample_ensemble_mcmc(ladder(2, 5), 3, rng).curves,
+    ),
+}
+
+
+def ladder(k, T):
+    x = [-2.0 * i for i in range(k)]
+    return gibbs.EnsembleSpec.make(
+        1, k, 0, T, x, x, bridge.HrwSpec.log_gamma(1.0), gibbs.InteractionSpec.exp(0, T)
+    )
 
 
 class TestDeterminism:
@@ -32,6 +68,32 @@ class TestDeterminism:
         assert run(base + ["--workers", "4"]) == 0
         assert (tmp_path / "b.csv").read_bytes() == w1_csv
         assert (tmp_path / "b.json").read_bytes() == w1_json
+
+    @pytest.mark.parametrize("job", ["rejection", "mcmc"])
+    def test_ensemble_worker_counts_bit_identical(self, tmp_path, job):
+        base = JOBS[job][0] + ["--samples", "7", "--seed", "5", "--out", str(tmp_path / "w")]
+        assert run(base + ["--workers", "1"]) == 0
+        w1 = [(tmp_path / f"w.{ext}").read_bytes() for ext in ("csv", "json")]
+        assert run(base + ["--workers", "2"]) == 0
+        assert [(tmp_path / f"w.{ext}").read_bytes() for ext in ("csv", "json")] == w1
+
+    @pytest.mark.parametrize("job", ["bridge", "rejection", "mcmc"])
+    def test_rows_match_one_sample_loop(self, tmp_path, job):
+        # every sample of the batched run is the draw its index stream gives alone
+        argv, one_sample = JOBS[job]
+        assert run(argv + ["--samples", "6", "--seed", "4", "--out", str(tmp_path / "j")]) == 0
+        loop = [one_sample(cli._task_rng(4, i)) for i in range(6)]
+        assert np.array_equal(csv_values(tmp_path / "j.csv"), np.ravel(loop))
+
+    @pytest.mark.parametrize("job", ["bridge", "rejection", "mcmc"])
+    def test_sampler_rows_prefix_of_longer_run(self, tmp_path, job):
+        data = []
+        for n in (3, 7):
+            out = tmp_path / f"{job}{n}"
+            assert run(JOBS[job][0] + ["--seed", "3", "--samples", str(n), "--out", str(out)]) == 0
+            data.append(data_lines(str(out) + ".csv"))
+        assert len(data[1]) == 7 * len(data[0]) // 3
+        assert data[1][: len(data[0])] == data[0]
 
     def test_couple_rows_prefix_of_longer_run(self, tmp_path):
         # draw i depends on its own omega only, not on the batch it is drawn in
@@ -82,6 +144,15 @@ class TestSubcommands:
         assert doc["acceptance"]["estimate"] == 1.0
         assert doc["acceptance"]["std_error"] == 0.0
         assert doc["acceptance"]["attempts"] == 4
+
+    def test_grid_reaches_acceptance_estimate(self, tmp_path):
+        out = tmp_path / "grid"
+        assert run(JOBS["rejection"][0] + ["--samples", "2", "--seed", "6", "--grid", "256",
+                                           "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "grid.json").read_text())
+        acc = gibbs.acceptance_probability(ladder(2, 5), 100, cli._task_rng(6, 2**40), m=256)
+        assert doc["acceptance"]["estimate"] == acc.estimate
+        assert doc["acceptance"]["std_error"] == acc.std_error
 
     def test_couple_equal_boundaries_zero_violations(self, tmp_path):
         out = tmp_path / "cpl"

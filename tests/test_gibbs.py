@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_sequential_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslines import gibbs as gb
-from gibbslines.bridge import HrwSpec, _step_density_cached
+from gibbslines.bridge import HrwSpec, _conditional_grid, _step_density_cached
 from gibbslines.ensembles import DiscreteLineEnsemble
+from gibbslines.errors import PrecisionError
+from gibbslines.grids import inverse_cdf_rows
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 HRW = HrwSpec.log_gamma(1.0)
@@ -16,6 +19,68 @@ HRW = HrwSpec.log_gamma(1.0)
 def ladder_spec(k, T, interaction, spread=2.0, g=None):
     x = [-spread * i for i in range(k)]
     return gb.EnsembleSpec.make(1, k, 0, T, x, x, HRW, interaction, g=g)
+
+
+def reference_free_bridges(spec, n, rng, m):
+    """Free bridges curve by curve from the former per-site sampler."""
+    x = np.asarray(spec.x_vec)
+    y = np.asarray(spec.y_vec)
+    out = np.empty((n, spec.n_curves, spec.n_times))
+    for i in range(spec.n_curves):
+        out[:, i, :] = reference_sequential_paths(
+            spec.hrw, spec.b - spec.a, np.full(n, x[i]), np.full(n, y[i]), rng, m
+        )
+    return out
+
+
+def reference_rejection(spec, n, rng, m):
+    """The former rejection loop: a free proposal per pending sample, then one
+    accept uniform per pending sample."""
+    f = np.asarray(spec.f, dtype=float)
+    g = np.asarray(spec.g, dtype=float)
+    out = np.empty((n, spec.n_curves, spec.n_times))
+    pending = np.arange(n)
+    attempts = 0
+    while pending.size:
+        attempts += pending.size
+        proposal = reference_free_bridges(spec, pending.size, rng, m)
+        logw = gb._log_weight_batch(spec.interaction, spec.a, spec.b, proposal, f, g)
+        accept = np.log(rng.uniform(size=pending.size)) < logw
+        out[pending[accept]] = proposal[accept]
+        pending = pending[~accept]
+    return out, attempts
+
+
+def reference_mcmc_sweep_ensembles(curves, spec, rng, m, f_rows, g_rows):
+    """The former ensemble Gibbs sweep (one rng.uniform call per site), in place."""
+    S, k, n_t = curves.shape
+    s_lo, s_hi = spec.hrw.support()
+    for i in range(k):
+        above = f_rows if i == 0 else curves[:, i - 1, :]
+        below = g_rows if i == k - 1 else curves[:, i + 1, :]
+        above = np.broadcast_to(above, (S, n_t))
+        below = np.broadcast_to(below, (S, n_t))
+        for t in range(1, n_t - 1):
+            left = curves[:, i, t - 1]
+            right = curves[:, i, t + 1]
+            grids = _conditional_grid(left + s_lo, left + s_hi, right - s_hi, right - s_lo, m)
+            log_pdf = spec.hrw.log_g(grids - left[:, None]) + spec.hrw.log_g(
+                right[:, None] - grids
+            )
+            bond_l = spec.interaction.bond(spec.a + t - 1)
+            bond_r = spec.interaction.bond(spec.a + t)
+            log_pdf += bond_l.log_weight(grids - above[:, t - 1][:, None])
+            log_pdf += bond_r.log_weight(below[:, t + 1][:, None] - grids)
+            peak = log_pdf.max(axis=1, keepdims=True)
+            if not np.all(np.isfinite(peak)):
+                raise PrecisionError("Gibbs full conditional underflowed on its grid")
+            with np.errstate(under="ignore"):
+                pdf = np.exp(log_pdf - peak)
+            curves[:, i, t] = inverse_cdf_rows(grids, pdf, rng.uniform(size=S))
+
+
+def index_rngs(n, seed=21):
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(n)]
 
 
 class TestHamiltonian:
@@ -120,6 +185,17 @@ class TestAcceptanceProbability:
         w = math.exp(-math.exp(-1.0 - 0.0)) * np.trapezoid(b * np.exp(-np.exp(-1.0 - u)), u)
         assert abs(acc.estimate - w) < 3.0 * acc.std_error + 1e-4
 
+    @pytest.mark.parametrize("k,T", [(1, 1), (2, 2), (3, 5)])
+    def test_single_generator_matches_reference(self, k, T):
+        spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0)
+        acc = gb.acceptance_probability(spec, 150, np.random.default_rng(13), m=256)
+        curves = reference_free_bridges(spec, 150, np.random.default_rng(13), 256)
+        logw = gb._log_weight_batch(
+            spec.interaction, spec.a, spec.b, curves,
+            np.asarray(spec.f, dtype=float), np.asarray(spec.g, dtype=float),
+        )
+        assert acc.estimate == float(np.exp(logw).mean())
+
     def test_n_mc_floor(self):
         spec = ladder_spec(1, 3, gb.InteractionSpec.zero(0, 3))
         with pytest.raises(ValueError):
@@ -137,6 +213,33 @@ class TestRejectionSampler:
         spec = ladder_spec(2, 4, gb.InteractionSpec.exp(0, 4), spread=-3.0)  # inverted order
         with pytest.raises(gb.ResourceLimitError):
             gb.sample_ensembles_rejection(spec, 50, np.random.default_rng(4), max_attempts=200)
+
+    @pytest.mark.parametrize("k,T", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 4)])
+    def test_single_generator_matches_reference(self, k, T):
+        spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0)
+        got, attempts = gb.sample_ensembles_rejection(spec, 25, np.random.default_rng(14), m=256)
+        want, want_attempts = reference_rejection(spec, 25, np.random.default_rng(14), 256)
+        assert np.array_equal(got, want) and attempts == want_attempts
+
+    def test_per_sample_generators_match_one_sample_draws(self):
+        spec = ladder_spec(2, 5, gb.InteractionSpec.exp(0, 5), spread=1.0)
+        batch, attempts = gb.sample_ensembles_rejection(spec, 8, index_rngs(8), m=256)
+        loop = [gb.sample_ensemble_rejection(spec, r, m=256) for r in index_rngs(8)]
+        assert np.array_equal(batch, np.array([ens.curves for ens, _ in loop]))
+        assert attempts == sum(a for _, a in loop) > 8
+
+    def test_budget_is_per_call(self):
+        spec = ladder_spec(2, 4, gb.InteractionSpec.exp(0, 4), spread=1.0)
+        _, attempts = gb.sample_ensembles_rejection(spec, 8, index_rngs(8), m=256)
+        with pytest.raises(gb.ResourceLimitError):
+            gb.sample_ensembles_rejection(spec, 8, index_rngs(8), attempts - 1, m=256)
+        _, again = gb.sample_ensembles_rejection(spec, 8, index_rngs(8), attempts, m=256)
+        assert again == attempts
+
+    def test_generator_sequence_length_checked(self):
+        spec = ladder_spec(2, 4, gb.InteractionSpec.exp(0, 4))
+        with pytest.raises(ValueError):
+            gb.sample_ensembles_rejection(spec, 5, index_rngs(4))
 
     def test_rate_matches_acceptance_probability(self):
         spec = ladder_spec(2, 6, gb.InteractionSpec.exp(0, 6))
@@ -171,6 +274,31 @@ class TestMcmcSampler:
         free = sample_bridges_sequential(BridgeSpec(0, 5, 0.0, 0.0, HRW), 3000, rng)
         d = ks_distance(EmpiricalCDF(mc[:, 0, 2]), EmpiricalCDF(free[:, 2]))
         assert d < ks_two_sample_critical(3000, 3000)
+
+    @pytest.mark.parametrize("k,T", [(1, 1), (1, 2), (2, 5), (3, 4)])
+    def test_single_generator_matches_reference(self, k, T):
+        spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0, g=[-4.0] * (T + 1))
+        got = gb.sample_ensembles_mcmc(spec, 20, 3, np.random.default_rng(15), m=256)
+        rng = np.random.default_rng(15)
+        frac = np.linspace(0.0, 1.0, T + 1)
+        x = np.asarray(spec.x_vec)[:, None]
+        y = np.asarray(spec.y_vec)[:, None]
+        want = np.broadcast_to(x + frac * (y - x), (20, k, T + 1)).copy()
+        f, g = np.asarray(spec.f, dtype=float), np.asarray(spec.g, dtype=float)
+        for _ in range(3):
+            reference_mcmc_sweep_ensembles(want, spec, rng, 256, f, g)
+        assert np.array_equal(got, want)
+
+    def test_per_sample_generators_match_one_sample_draws(self):
+        spec = ladder_spec(2, 5, gb.InteractionSpec.exp(0, 5))
+        batch = gb.sample_ensembles_mcmc(spec, 6, 4, index_rngs(6), m=256)
+        loop = [gb.sample_ensemble_mcmc(spec, 4, r, m=256).curves for r in index_rngs(6)]
+        assert np.array_equal(batch, np.array(loop))
+
+    def test_generator_sequence_length_checked(self):
+        spec = ladder_spec(2, 4, gb.InteractionSpec.exp(0, 4))
+        with pytest.raises(ValueError):
+            gb.sample_ensembles_mcmc(spec, 3, 1, index_rngs(4))
 
     def test_stationarity_from_rejection_start(self):
         spec = ladder_spec(2, 5, gb.InteractionSpec.exp(0, 5))
