@@ -6,7 +6,6 @@ from .bridge import (
     HrwSpec,
     hrw_density,
     n_step_density,
-    sample_bridge_mcmc,
     sample_bridge_sequential,
     sample_bridges_mcmc,
     sample_bridges_sequential,

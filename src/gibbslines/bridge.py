@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaincc, ndtri
 
 from .errors import PrecisionError, ResourceLimitError
@@ -27,7 +27,6 @@ __all__ = [
     "n_step_density",
     "sample_bridge_sequential",
     "sample_bridges_sequential",
-    "sample_bridge_mcmc",
     "sample_bridges_mcmc",
 ]
 
@@ -178,7 +177,10 @@ def hrw_density(hrw: HrwSpec, m: int = DEFAULT_GRID_M, eps: float = TRUNCATION_E
 def _convolve(a: GridDensity, b: GridDensity) -> GridDensity:
     if abs(a.step - b.step) > 1e-12 * a.step:
         raise ValueError("convolution requires identical grid spacing")
-    vals = fftconvolve(a.values, b.values) * a.step
+    # the full linear convolution by real FFT, zero-padded to a fast length
+    n = a.values.size + b.values.size - 1
+    size = next_fast_len(n, True)
+    vals = irfft(rfft(a.values, size) * rfft(b.values, size), size)[:n] * a.step
     vals = np.clip(vals, 0.0, None)
     lo = a.lo + b.lo
     # trim negligible tails to keep grids compact
@@ -360,14 +362,3 @@ def sample_bridges_mcmc(
     ens = EnsembleSpec.make(1, 1, spec.t0, spec.t1, [spec.x], [spec.y], spec.hrw, zero)
     return sample_ensembles_mcmc(ens, n_samples, sweeps, rng, paths[:, None, :], m)[:, 0, :]
 
-
-def sample_bridge_mcmc(
-    spec: BridgeSpec,
-    sweeps: int,
-    rng: np.random.Generator,
-    m: int = SAMPLER_GRID_M,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
-    """A single MCMC bridge path (values at t0..t1)."""
-    init2 = init[None, :] if init is not None else None
-    return sample_bridges_mcmc(spec, 1, sweeps, rng, m, init2)[0]

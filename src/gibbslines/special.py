@@ -1,15 +1,16 @@
 """Digamma-family special functions and the KPZ scaling constants.
 
-Everything is computed from the defining series
+psi, psi' and sum_{n>=0} (n+z)^-3 = -psi''(z)/2 come from
+``scipy.special.digamma`` and ``polygamma``; the tail-corrected defining
+series is kept in the tests as their independent oracle.  The
+slope/curvature machinery (``g_theta``, ``h_theta``) and the constant set for
+the 1/3:2/3 rescaling live here as well.  The curvature has a closed form:
+differentiating h_theta'(x) = psi(g_theta^{-1}(x)) at the symmetry point
+x = 1, w = theta/2 gives
 
-    psi(z)  = -gamma_E + sum_{n>=0} [ 1/(n+1) - 1/(n+z) ]
-    psi'(z) = sum_{n>=0} 1/(n+z)^2
+    h_theta''(1) = psi'(theta/2)^2 / (-2 psi''(theta/2)),
 
-truncated at ``terms`` summands with an analytic (midpoint-rule) integral
-tail correction, which brings the truncation error far below the 1e-10
-contract without asymptotic expansions.  The slope/curvature machinery
-(``g_theta``, ``h_theta``) and the constant set for the 1/3:2/3 rescaling
-live here as well.
+so  lam = h_theta''(1)/4 = psi'(theta/2)^2 / (16 sum_n (n+theta/2)^-3).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import digamma as _digamma
+from scipy.special import polygamma
 
 __all__ = [
-    "DEFAULT_SERIES_TERMS",
     "ScalingConstants",
     "log_gamma",
     "digamma",
@@ -32,9 +34,6 @@ __all__ = [
     "h_theta",
     "scaling_constants",
 ]
-
-DEFAULT_SERIES_TERMS = 10**6
-_CHUNK = 1 << 17
 
 
 def _check_positive(name: str, value) -> None:
@@ -49,60 +48,28 @@ def log_gamma(x: float) -> float:
     return math.lgamma(float(x))
 
 
-def _series_sum(z: np.ndarray, terms: int, term_fn, tail_fn) -> np.ndarray:
-    """Chunked evaluation of sum_{n=0}^{terms-1} term_fn(n, z) + tail_fn(terms, z)."""
-    out = np.zeros_like(z)
-    for start in range(0, terms, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, terms), dtype=float)
-        out += term_fn(n[:, None] if z.ndim else n, z).sum(axis=0)
-    return out + tail_fn(float(terms), z)
-
-
-def digamma(z, terms: int = DEFAULT_SERIES_TERMS):
-    """Digamma psi(z) for z > 0, absolute error <= 1e-10.
-
-    Accepts scalars or arrays.  The tail of the defining series is summed
-    analytically: sum_{n>=M} [1/(n+1) - 1/(n+z)] is replaced by the midpoint
-    integral log((M - 1/2 + z)/(M + 1/2)), whose error is O(M^-3).
-    """
+def digamma(z):
+    """Digamma psi(z) for z > 0 (``scipy.special.digamma``); scalars or arrays."""
     _check_positive("z", z)
-    za = np.asarray(z, dtype=float)
-    res = _series_sum(
-        za,
-        terms,
-        lambda n, w: 1.0 / (n + 1.0) - 1.0 / (n + w),
-        lambda m, w: np.log((m - 0.5 + w) / (m + 0.5)),
-    ) - np.euler_gamma
+    res = _digamma(np.asarray(z, dtype=float))
     return res if isinstance(z, np.ndarray) else float(res)
 
 
-def trigamma(z, terms: int = DEFAULT_SERIES_TERMS):
-    """Trigamma psi'(z) = sum_{n>=0} 1/(n+z)^2 for z > 0, absolute error <= 1e-10."""
+def trigamma(z):
+    """Trigamma psi'(z) = sum_{n>=0} 1/(n+z)^2 for z > 0 (``polygamma(1, z)``)."""
     _check_positive("z", z)
-    za = np.asarray(z, dtype=float)
-    res = _series_sum(
-        za,
-        terms,
-        lambda n, w: 1.0 / (n + w) ** 2,
-        lambda m, w: 1.0 / (m - 0.5 + w),
-    )
+    res = polygamma(1, np.asarray(z, dtype=float))
     return res if isinstance(z, np.ndarray) else float(res)
 
 
-def inverse_cube_sum(z, terms: int = DEFAULT_SERIES_TERMS):
-    """sum_{n>=0} 1/(n+z)^3 for z > 0 (enters the edge-fluctuation scale)."""
+def inverse_cube_sum(z):
+    """sum_{n>=0} 1/(n+z)^3 = -psi''(z)/2 for z > 0 (enters the edge-fluctuation scale)."""
     _check_positive("z", z)
-    za = np.asarray(z, dtype=float)
-    res = _series_sum(
-        za,
-        terms,
-        lambda n, w: 1.0 / (n + w) ** 3,
-        lambda m, w: 0.5 / (m - 0.5 + w) ** 2,
-    )
+    res = -0.5 * polygamma(2, np.asarray(z, dtype=float))
     return res if isinstance(z, np.ndarray) else float(res)
 
 
-def g_theta(theta: float, z, terms: int = DEFAULT_SERIES_TERMS):
+def g_theta(theta: float, z):
     """The slope-parameter bijection psi'(theta - z)/psi'(z) on (0, theta).
 
     Strictly increasing from 0 (z -> 0+) to infinity (z -> theta-).
@@ -111,11 +78,11 @@ def g_theta(theta: float, z, terms: int = DEFAULT_SERIES_TERMS):
     za = np.asarray(z, dtype=float)
     if np.any(za <= 0.0) or np.any(za >= theta):
         raise ValueError(f"z must lie in (0, theta)=(0, {theta}), got {z!r}")
-    res = trigamma(theta - za, terms) / trigamma(za, terms)
+    res = trigamma(theta - za) / trigamma(za)
     return res if isinstance(z, np.ndarray) else float(res)
 
 
-def g_theta_inv(theta: float, x, terms: int = DEFAULT_SERIES_TERMS, max_iter: int = 90):
+def g_theta_inv(theta: float, x, max_iter: int = 90):
     """Inverse of ``g_theta``: the unique z in (0, theta) with g_theta(z) = x.
 
     Bracketing bisection on (0, theta); no derivatives, so no blowup near the
@@ -133,9 +100,9 @@ def g_theta_inv(theta: float, x, terms: int = DEFAULT_SERIES_TERMS, max_iter: in
         done |= (mid <= lo) | (mid >= hi)
         if np.all(done):
             break
-        num = trigamma(theta - mid, terms)
-        den = xa * trigamma(mid, terms)
-        # residual g(mid) - x already at the series' accuracy floor: stop
+        num = trigamma(theta - mid)
+        den = xa * trigamma(mid)
+        # residual g(mid) - x already at the polygamma accuracy floor: stop
         done |= np.abs(num - den) <= 1e-12 * den
         too_low = num < den
         lo = np.where(too_low & ~done, mid, lo)
@@ -144,14 +111,14 @@ def g_theta_inv(theta: float, x, terms: int = DEFAULT_SERIES_TERMS, max_iter: in
     return res if isinstance(x, np.ndarray) else float(res)
 
 
-def h_theta(theta: float, x, terms: int = DEFAULT_SERIES_TERMS):
+def h_theta(theta: float, x):
     """Law-of-large-numbers shape function x*psi(w) + psi(theta - w), w = g_theta^{-1}(x)."""
     _check_positive("theta", theta)
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0.0):
         raise ValueError(f"x must be positive, got {x!r}")
-    w = g_theta_inv(theta, xa, terms)
-    res = xa * digamma(w, terms) + digamma(theta - w, terms)
+    w = g_theta_inv(theta, xa)
+    res = xa * digamma(w) + digamma(theta - w)
     return res if isinstance(x, np.ndarray) else float(res)
 
 
@@ -161,7 +128,8 @@ class ScalingConstants:
 
     alpha      -- transversal exponent, always 2/3
     p          -- global slope of the line ensemble, -psi(theta/2)
-    lam        -- parabolic curvature, (1/4) h_theta''(1) > 0
+    lam        -- parabolic curvature, (1/4) h_theta''(1)
+                  = psi'(theta/2)^2 / (16 sum_n (n+theta/2)^-3) > 0
     sigma_p    -- diffusive scale sqrt(psi'(theta/2))
     d_theta_1  -- one-point fluctuation scale [2 sum_n (n+theta/2)^-3]^(1/3)
     h_theta_1  -- free-energy density at slope 1, 2 psi(theta/2)
@@ -187,30 +155,24 @@ class ScalingConstants:
 
 
 @lru_cache(maxsize=64)
-def scaling_constants(theta: float, fd_step: float = 1e-4) -> ScalingConstants:
+def scaling_constants(theta: float) -> ScalingConstants:
     """Compute the full scaling-constant set for a given theta > 0.
 
-    The curvature is obtained from a second-order central difference of the
-    shape function at 1 (the defining identity only supplies its first
-    derivative in closed form); the result is accurate to ~1e-7, far below
-    every tolerance that consumes it.  Raises ``RuntimeError`` if the
-    computed curvature fails to be positive.
+    The curvature is the closed form psi'(theta/2)^2 / (16 sum_n (n+theta/2)^-3)
+    (see the module docstring).  Raises ``RuntimeError`` if a computed scale
+    fails to be positive.
     """
     theta = float(theta)
     _check_positive("theta", theta)
     half = theta / 2.0
-    p = -digamma(half)
-    sigma_p = math.sqrt(trigamma(half))
-    d1 = (2.0 * inverse_cube_sum(half)) ** (1.0 / 3.0)
-    h1 = 2.0 * digamma(half)
-    d = fd_step
-    hpp = (h_theta(theta, 1.0 + d) - 2.0 * h_theta(theta, 1.0) + h_theta(theta, 1.0 - d)) / d**2
+    psi1 = trigamma(half)
+    cube = inverse_cube_sum(half)
     return ScalingConstants(
         theta=theta,
         alpha=2.0 / 3.0,
-        p=p,
-        lam=0.25 * hpp,
-        sigma_p=sigma_p,
-        d_theta_1=d1,
-        h_theta_1=h1,
+        p=-digamma(half),
+        lam=psi1**2 / (16.0 * cube),
+        sigma_p=math.sqrt(psi1),
+        d_theta_1=(2.0 * cube) ** (1.0 / 3.0),
+        h_theta_1=2.0 * digamma(half),
     )

@@ -22,10 +22,10 @@ from gibbslines import stats as st_mod
 from gibbslines.ensembles import DiscreteLineEnsemble
 from gibbslines.reports import EmpiricalCDF, ks_distance
 
+import series_oracle
 from conftest import record_criterion
 
 HRW = br.HrwSpec.log_gamma(1.0)
-TERMS_FAST = 10**5  # truncation error ~1e-15 with the integral tail correction
 
 
 def test_criterion_1_polymer_oracle_triangle():
@@ -61,21 +61,29 @@ def test_criterion_1_polymer_oracle_triangle():
 
 def test_criterion_2_special_functions():
     z = np.linspace(0.1, 10.0, 100)
-    rec = float(np.abs(sp.digamma(z + 1.0, TERMS_FAST) - sp.digamma(z, TERMS_FAST) - 1.0 / z).max())
+    rec = float(np.abs(sp.digamma(z + 1.0) - sp.digamma(z) - 1.0 / z).max())
+
+    # two independent routes: scipy at runtime, the defining series as oracle
+    zs = np.linspace(0.05, 20.0, 100)
+    series = max(
+        float(np.abs(getattr(sp, f)(zs) - getattr(series_oracle, f)(zs)).max())
+        for f in ("digamma", "trigamma", "inverse_cube_sum")
+    )
 
     x = np.linspace(0.05, 20.0, 100)
-    back = sp.g_theta(1.0, sp.g_theta_inv(1.0, x, TERMS_FAST), TERMS_FAST)
+    back = sp.g_theta(1.0, sp.g_theta_inv(1.0, x))
     rt = float(np.abs(back - x).max())
 
     sym = max(abs(sp.g_theta(th, th / 2) - 1.0) for th in (0.5, 1.0, 2.0))
 
     d = 1e-5
-    fd = (sp.h_theta(1.0, 1.0 + d, TERMS_FAST) - sp.h_theta(1.0, 1.0 - d, TERMS_FAST)) / (2 * d)
+    fd = (sp.h_theta(1.0, 1.0 + d) - sp.h_theta(1.0, 1.0 - d)) / (2 * d)
     slope_err = abs(fd - sp.digamma(0.5))
 
     lams = {th: sp.scaling_constants(th).lam for th in (0.25, 0.5, 1.0, 2.0, 5.0)}
     ok = (
         rec <= 1e-10
+        and series <= 1e-10
         and rt <= 1e-9
         and sym <= 1e-12
         and slope_err <= 1e-6
@@ -85,8 +93,9 @@ def test_criterion_2_special_functions():
         2,
         "special functions and scaling constants",
         ok,
-        f"recurrence {rec:.1e}, roundtrip {rt:.1e}, g(theta/2) {sym:.1e}, "
-        f"h'(1) {slope_err:.1e}, lambdas {[round(v, 4) for v in lams.values()]}",
+        f"recurrence {rec:.1e}, scipy vs series {series:.1e}, roundtrip {rt:.1e}, "
+        f"g(theta/2) {sym:.1e}, h'(1) {slope_err:.1e}, "
+        f"lambdas {[round(v, 4) for v in lams.values()]}",
     )
 
 

@@ -6,7 +6,7 @@ from conftest import reference_sequential_paths
 
 from gibbslines import bridge as br
 from gibbslines.errors import PrecisionError, ResourceLimitError
-from gibbslines.grids import inverse_cdf_rows
+from gibbslines.grids import GridDensity, inverse_cdf_rows
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 
@@ -24,6 +24,24 @@ def quadrature_midpoint_cdf(hrw_spec, T, t, x, y, lo, hi, n=4000):
     q = np.exp(logq - logq.max())
     cdf = np.concatenate([[0.0], np.cumsum((q[1:] + q[:-1]) / 2 * np.diff(u))])
     return u, cdf / cdf[-1]
+
+
+def fftconvolve_reference(a, b):
+    """The former ``bridge._convolve``: the same clip and tail trim around
+    ``scipy.signal.fftconvolve``."""
+    from scipy.signal import fftconvolve
+
+    vals = np.clip(fftconvolve(a.values, b.values) * a.step, 0.0, None)
+    keep = np.nonzero(vals > vals.max() * 1e-17)[0]
+    i0 = int(keep[0])
+    i1 = max(int(keep[-1]), i0 + 3)
+    lo = a.lo + b.lo
+    return GridDensity(lo=lo + i0 * a.step, hi=lo + i1 * a.step, values=vals[i0 : i1 + 1])
+
+
+def assert_same_grid(got, expect):
+    assert np.array_equal(got.values, expect.values)
+    assert (got.lo, got.hi) == (expect.lo, expect.hi)
 
 
 def reference_mcmc_sweep(paths, spec, rng, m):
@@ -110,6 +128,22 @@ class TestNStepDensity:
         g = br.hrw_density(hrw)
         with pytest.raises(ResourceLimitError):
             br.n_step_density(g, 500, max_width=100.0)
+
+    def test_convolve_matches_fftconvolve_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        step = 0.01
+        for _ in range(200):
+            na, nb = int(rng.integers(4, 20001)), int(rng.integers(4, 601))
+            a = GridDensity(lo=-1.0, hi=-1.0 + step * (na - 1), values=rng.random(na))
+            b = GridDensity(lo=0.5, hi=0.5 + step * (nb - 1), values=rng.random(nb))
+            assert_same_grid(br._convolve(a, b), fftconvolve_reference(a, b))
+
+    @pytest.mark.parametrize("m", [256, 512, 4096])
+    def test_step_chain_matches_fftconvolve_bit_for_bit(self, hrw, m):
+        unit = power = br.hrw_density(hrw, m).normalized()
+        for n in range(2, 50):
+            power = fftconvolve_reference(power, unit)
+            assert_same_grid(br._step_density_cached(hrw, n, m), power.normalized())
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("m", [256, 512, 4096])

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gibbslines
 from gibbslines import bridge, cli, gibbs
 
 
@@ -45,6 +49,21 @@ def ladder(k, T):
     return gibbs.EnsembleSpec.make(
         1, k, 0, T, x, x, bridge.HrwSpec.log_gamma(1.0), gibbs.InteractionSpec.exp(0, T)
     )
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal, which loads scipy.stats, was most of the cold-start import
+    # time of every CLI run; the runtime needs neither
+    code = (
+        "import sys, gibbslines, gibbslines.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    )
+    path = [str(Path(gibbslines.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

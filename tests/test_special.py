@@ -8,9 +8,7 @@ from scipy.integrate import quad
 
 from gibbslines import special as sp
 
-# tail-corrected truncation error at 1e5 terms is ~1e-15, far below every
-# tolerance asserted here; the default 1e6 is exercised in the scalar tests
-TERMS_FAST = 10**5
+import series_oracle
 
 
 class TestLogGamma:
@@ -46,7 +44,7 @@ class TestDigamma:
         assert sp.digamma(2.0) == pytest.approx(1.0 - np.euler_gamma, abs=1e-10)
 
     def test_at_half(self):
-        # series evaluates to -gamma_E - 2 log 2
+        # closed form -gamma_E - 2 log 2
         assert sp.digamma(0.5) == pytest.approx(-np.euler_gamma - 2 * math.log(2), abs=1e-10)
 
     def test_brute_force_partial_sum(self):
@@ -63,7 +61,7 @@ class TestDigamma:
 
     def test_recurrence_property(self):
         z = np.linspace(0.1, 10.0, 100)
-        lhs = sp.digamma(z + 1.0, terms=TERMS_FAST) - sp.digamma(z, terms=TERMS_FAST)
+        lhs = sp.digamma(z + 1.0) - sp.digamma(z)
         assert np.max(np.abs(lhs - 1.0 / z)) < 1e-10
 
 
@@ -80,13 +78,30 @@ class TestTrigamma:
 
     def test_symmetry_at_half_theta(self):
         for theta in (0.5, 1.0, 3.0):
-            a = sp.trigamma(theta / 2, terms=TERMS_FAST)
-            b = sp.trigamma(theta - theta / 2, terms=TERMS_FAST)
+            a = sp.trigamma(theta / 2)
+            b = sp.trigamma(theta - theta / 2)
             assert a == b
 
     def test_positive(self):
         z = np.linspace(0.05, 20, 50)
-        assert np.all(sp.trigamma(z, terms=TERMS_FAST) > 0)
+        assert np.all(sp.trigamma(z) > 0)
+
+
+class TestSeriesOracle:
+    """scipy's digamma/polygamma against the tail-corrected defining series."""
+
+    @pytest.mark.parametrize("name", ["digamma", "trigamma", "inverse_cube_sum"])
+    def test_scipy_matches_series(self, name):
+        z = np.linspace(0.05, 20.0, 100)
+        got = getattr(sp, name)(z)
+        expect = getattr(series_oracle, name)(z)
+        assert np.max(np.abs(got - expect)) < 1e-10
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0, 5.0])
+    def test_closed_form_lambda_matches_finite_difference(self, theta):
+        # second difference (step 1e-4) of the series-built shape function
+        fd = series_oracle.lam_finite_difference(theta)
+        assert sp.scaling_constants(theta).lam == pytest.approx(fd, rel=1e-6)
 
 
 class TestGTheta:
@@ -113,13 +128,13 @@ class TestGTheta:
         if abs(z1 - z2) < 1e-6:
             return
         lo, hi = sorted((z1, z2))
-        assert sp.g_theta(1.0, lo, terms=2000) < sp.g_theta(1.0, hi, terms=2000)
+        assert sp.g_theta(1.0, lo) < sp.g_theta(1.0, hi)
 
     def test_inverse_round_trips(self):
         theta = 1.0
         for x in (0.1, 1.0, 10.0):
-            z = sp.g_theta_inv(theta, x, terms=TERMS_FAST)
-            assert sp.g_theta(theta, z, terms=TERMS_FAST) == pytest.approx(x, rel=1e-10)
+            z = sp.g_theta_inv(theta, x)
+            assert sp.g_theta(theta, z) == pytest.approx(x, rel=1e-10)
 
     def test_inv_symmetry(self):
         assert sp.g_theta_inv(3.0, 1.0) == pytest.approx(1.5, abs=1e-10)
@@ -134,30 +149,30 @@ class TestGTheta:
 
     def test_round_trip_grid(self):
         x = np.linspace(0.05, 20.0, 100)
-        z = sp.g_theta_inv(1.0, x, terms=TERMS_FAST)
-        back = sp.g_theta(1.0, z, terms=TERMS_FAST)
+        z = sp.g_theta_inv(1.0, x)
+        back = sp.g_theta(1.0, z)
         assert np.max(np.abs(back - x)) < 1e-9
 
 
 class TestHTheta:
     def test_at_one(self):
         for theta in (0.5, 1.0, 2.0):
-            expect = 2.0 * sp.digamma(theta / 2, terms=TERMS_FAST)
-            assert sp.h_theta(theta, 1.0, terms=TERMS_FAST) == pytest.approx(expect, abs=1e-9)
+            expect = 2.0 * sp.digamma(theta / 2)
+            assert sp.h_theta(theta, 1.0) == pytest.approx(expect, abs=1e-9)
 
     def test_derivative_identity(self):
         # h'(x) = psi(g^{-1}(x)), checked by central difference
         theta, x, d = 1.0, 1.0, 1e-5
         fd = (
-            sp.h_theta(theta, x + d, terms=TERMS_FAST)
-            - sp.h_theta(theta, x - d, terms=TERMS_FAST)
+            sp.h_theta(theta, x + d)
+            - sp.h_theta(theta, x - d)
         ) / (2 * d)
-        expect = sp.digamma(sp.g_theta_inv(theta, x, terms=TERMS_FAST), terms=TERMS_FAST)
+        expect = sp.digamma(sp.g_theta_inv(theta, x))
         assert fd == pytest.approx(expect, abs=1e-6)
 
     def test_frozen_fixture(self):
         # composition of independently validated sub-operations (mpmath)
-        assert sp.h_theta(1.0, 2.0, terms=TERMS_FAST) == pytest.approx(
+        assert sp.h_theta(1.0, 2.0) == pytest.approx(
             -5.642622889673296, abs=1e-8
         )
 
@@ -167,9 +182,9 @@ class TestHTheta:
 
         def second_diff(d):
             return (
-                sp.h_theta(theta, 1 + d, terms=TERMS_FAST)
-                - 2 * sp.h_theta(theta, 1.0, terms=TERMS_FAST)
-                + sp.h_theta(theta, 1 - d, terms=TERMS_FAST)
+                sp.h_theta(theta, 1 + d)
+                - 2 * sp.h_theta(theta, 1.0)
+                + sp.h_theta(theta, 1 - d)
             )
 
         d = 1e-3
@@ -186,7 +201,7 @@ class TestScalingConstants:
         assert c.sigma_p == pytest.approx(2.2214414690791831, abs=1e-9)
         assert c.d_theta_1 == pytest.approx(2.5626208431855407, abs=1e-9)
         assert c.h_theta_1 == pytest.approx(-3.927020052042847, abs=1e-9)
-        assert c.lam == pytest.approx(0.18088245756154446, rel=1e-4)
+        assert c.lam == pytest.approx(0.18088245756154446, rel=1e-12)
         assert c.psi_coeff == 0.5
 
     def test_p_is_slope_identity(self):
@@ -197,9 +212,9 @@ class TestScalingConstants:
     def test_d_theta_twin_sums(self):
         # both series in the fluctuation-scale formula coincide at x = 1
         theta = 2.0
-        w = sp.g_theta_inv(theta, 1.0, terms=TERMS_FAST)
-        s1 = sp.inverse_cube_sum(w, terms=TERMS_FAST)
-        s2 = sp.inverse_cube_sum(theta - w, terms=TERMS_FAST)
+        w = sp.g_theta_inv(theta, 1.0)
+        s1 = sp.inverse_cube_sum(w)
+        s2 = sp.inverse_cube_sum(theta - w)
         assert s1 == pytest.approx(s2, rel=1e-10)
         c = sp.scaling_constants(theta)
         assert c.d_theta_1 == pytest.approx((s1 + s2) ** (1.0 / 3.0), rel=1e-9)
@@ -209,4 +224,4 @@ class TestScalingConstants:
         assert sp.scaling_constants(theta).lam > 0.0
 
     def test_lambda_fixture_theta_two(self):
-        assert sp.scaling_constants(2.0).lam == pytest.approx(0.14068635588120124, rel=1e-4)
+        assert sp.scaling_constants(2.0).lam == pytest.approx(0.14068635588120124, rel=1e-12)
