@@ -13,13 +13,9 @@ from .bridge import (
 from .coupling import (
     BoundaryTriple,
     GrandCouplingEngine,
-    PointOrder,
-    conditional_cdf,
-    conditional_density,
     continuity_check,
     grand_coupling_sample,
     monotonicity_check,
-    order_points,
 )
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError, ResourceLimitError

@@ -24,16 +24,12 @@ from .bridge import HrwSpec
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError
 from .gibbs import InteractionSpec
-from .grids import GridDensity, trapezoid_cdf
+from .grids import trapezoid_cdf
 from .reports import StatReport
 
 __all__ = [
-    "PointOrder",
-    "order_points",
     "BoundaryTriple",
     "GrandCouplingEngine",
-    "conditional_density",
-    "conditional_cdf",
     "grand_coupling_sample",
     "monotonicity_check",
     "continuity_check",
@@ -41,37 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_COUPLING_GRID_M = 256
-
-
-@dataclass(frozen=True)
-class PointOrder:
-    """The lexicographic (row-major) complete order on the interior lattice
-    [1, k] x [1, T-2]; successors of a point are its conditioning set during
-    the reverse-order fill."""
-
-    k: int
-    t: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.t < 2:
-            raise ValueError("need k >= 1 and T >= 2")
-
-    @property
-    def points(self) -> tuple:
-        n = self.t - 2
-        return tuple((i, j) for i in range(1, self.k + 1) for j in range(1, n + 1))
-
-    def a_set(self, point) -> frozenset:
-        """Points strictly after ``point`` (already assigned when it is drawn)."""
-        return frozenset(q for q in self.points if q > tuple(point))
-
-    def b_set(self, point) -> frozenset:
-        """Points strictly before ``point`` (integrated out)."""
-        return frozenset(q for q in self.points if q < tuple(point))
-
-
-def order_points(k: int, T: int) -> PointOrder:
-    return PointOrder(k=k, t=T)
 
 
 @dataclass(frozen=True)
@@ -362,56 +327,6 @@ class GrandCouplingEngine:
                 vals[:, p1 - 1, p2] = _interp_rows(omega[:, (p1 - 1) * n + p2 - 1], cdf, self.grid)
                 if beta is not None and p2 > 1:
                     beta = self._beta_step(beta, p2 - 1, vals[:, p1 - 1, p2])
-
-    def site_density(self, point, assigned: dict) -> GridDensity:
-        """Normalized conditional density of ``point`` given values on its
-        successor set (everything before it in draw order integrated out)."""
-        p1, p2 = point
-        k, n = self.k, self.n
-        expected = order_points(k, self.T).a_set(point)
-        if set(assigned.keys()) != set(expected):
-            raise ValueError("assigned values must cover exactly the successor set")
-        vals = np.empty((1, k, self.T))
-        vals[0, :, 0] = self.boundary.x_vec
-        vals[0, :, -1] = self.boundary.y_vec
-        for (i, j), v in assigned.items():
-            vals[0, i - 1, j] = float(v)
-        below, alphas, beta = self._row_start(p1, vals)
-        if beta is not None:
-            for j in range(n, p2, -1):
-                beta = self._beta_step(beta, j - 1, vals[:, p1 - 1, j])
-        dens = self._site_values(
-            p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
-        )
-        return GridDensity(lo=self.lo, hi=self.hi, values=dens[0]).normalized()
-
-
-def conditional_density(
-    boundary: BoundaryTriple,
-    fixed: dict,
-    point,
-    T: int,
-    hrw: HrwSpec,
-    interaction: InteractionSpec | None = None,
-    m: int = DEFAULT_COUPLING_GRID_M,
-    window: tuple[float, float] | None = None,
-) -> GridDensity:
-    """Conditional density of one interior lattice point given its successor
-    set, with all predecessors integrated out by transfer sweeps."""
-    engine = GrandCouplingEngine(boundary, T, hrw, interaction, m, window)
-    return engine.site_density(tuple(point), dict(fixed))
-
-
-def conditional_cdf(density: GridDensity, s) -> float:
-    """F(s) of a grid conditional density: cumulative trapezoid, normalized.
-
-    The numeric CDF must be nondecreasing (it is, for nonnegative values);
-    a decrease signals corrupted input and raises ``RuntimeError``.
-    """
-    c = trapezoid_cdf(density.values, density.step)
-    if np.any(np.diff(c) < 0.0):
-        raise RuntimeError("non-monotone numeric CDF")
-    return float(np.interp(s, density.x, c / c[-1]))
 
 
 def grand_coupling_sample(

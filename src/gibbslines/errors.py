@@ -2,16 +2,16 @@
 
 Domain errors (bad arguments) raise plain ``ValueError``; the classes here
 cover failure modes that a caller may want to handle programmatically, e.g.
-by escalating precision or enlarging a budget.
+by refining a grid or enlarging a budget.
 """
 
 
 class PrecisionError(ArithmeticError):
     """A computation lost all significance at the current precision.
 
-    Raised e.g. when a path-family determinant comes out nonpositive after
-    elimination, or a conditional density underflows on its whole grid.
-    Callers may retry with a higher ``precision_mode`` or a wider grid.
+    Raised e.g. when the determinant oracle ``tau_lgv`` meets an
+    ill-conditioned matrix, or a conditional density underflows on its whole
+    grid.  Callers may retry with a wider grid.
     """
 
 

@@ -3,20 +3,23 @@ functions tau_{k,l}(n) over non-intersecting up-right path families, their
 telescoping ratios z_{k,l}(n), and the centered discrete line ensemble built
 from them.
 
-All partition arithmetic is carried in log-space.  Three independent routes
-to tau are provided and cross-validated: direct tuple enumeration (the
-oracle), a determinant of single-path partition functions over the ordered
-start/end points, and -- at l = 1 -- the lattice dynamic program itself.
+All partition arithmetic is carried in log-space.  The runtime route to tau
+is one pass of geometric RSK local moves over the log-weights
+(O'Connell-Seppalainen-Zygouras 2014, Noumi-Yamada 2004): every move forms
+sums, products and quotients of positive numbers only, so nothing cancels,
+and one pass yields tau_{k,l}(n) for every l <= l_max and every n.  Direct
+tuple enumeration, the determinant of single-path partition functions over
+the ordered start/end points, and -- at l = 1 -- the lattice dynamic program
+are independent oracles that no runtime code calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._doubledouble import det_dd
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError, ResourceLimitError
 from .special import scaling_constants
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+LGV_TOLERANCE = 1e-8  # largest first-order error bound tau_lgv returns a value under
 
 
 @dataclass(frozen=True)
@@ -196,16 +200,17 @@ def _lgv_log_matrix(d: WeightField, k: int, l: int, n: int) -> np.ndarray:
     return mat
 
 
-def tau_lgv(d: WeightField, k: int, l: int, n: int, precision: str = "double") -> float:
-    """log tau_{k,l}(n) as an l x l determinant of single-path partition functions.
+def tau_lgv(d: WeightField, k: int, l: int, n: int) -> float:
+    """log tau_{k,l}(n) as an l x l determinant of single-path partition
+    functions: an oracle for small or well-conditioned fields.
 
-    Each row is rescaled by its maximal log entry before elimination; with
-    ``precision="double-double"`` the elimination itself runs in ~31-digit
-    compensated arithmetic.  Raises ``PrecisionError`` when the determinant
-    comes out nonpositive, in which case the caller may escalate precision.
+    Each row is rescaled by its maximal log entry before elimination.  The
+    entries carry relative errors of about (n + k) ulps, which the
+    determinant amplifies by kappa = sum_ij |M_ij (M^-1)_ji|.  Raises
+    ``PrecisionError`` when the determinant is nonpositive or that
+    first-order error bound on log tau exceeds ``LGV_TOLERANCE``: an
+    ill-conditioned matrix gives no value rather than a wrong one.
     """
-    if precision not in ("double", "double-double"):
-        raise ValueError(f"unknown precision mode {precision!r}")
     if not (1 <= l <= k <= d.n_rows):
         raise ValueError(f"need 1 <= l <= k <= n_rows, got l={l}, k={k}")
     if n < 0 or n > d.n_max:
@@ -215,16 +220,51 @@ def tau_lgv(d: WeightField, k: int, l: int, n: int, precision: str = "double") -
     mat = _lgv_log_matrix(d, k, l, n)
     row_max = mat.max(axis=1)
     scaled = np.exp(mat - row_max[:, None])
-    if precision == "double":
-        det = float(np.linalg.det(scaled))
-    else:
-        det = det_dd(scaled.tolist())
+    det = float(np.linalg.det(scaled))
     if not det > 0.0:
+        raise PrecisionError(f"nonpositive determinant ({det}) for tau_(k={k}, l={l})({n})")
+    kappa = float(np.abs(scaled * np.linalg.inv(scaled).T).sum())
+    bound = kappa * (n + k) * np.finfo(float).eps
+    if bound > LGV_TOLERANCE:
         raise PrecisionError(
-            f"nonpositive determinant ({det}) for tau_(k={k}, l={l})({n}) at precision "
-            f"{precision}"
+            f"ill-conditioned determinant for tau_(k={k}, l={l})({n}): error bound {bound:.1e}"
         )
     return float(row_max.sum() + np.log(det))
+
+
+def _grsk_log_tau(w: np.ndarray, l_max: int) -> np.ndarray:
+    """log tau_{k,l}(n) for l = 1..l_max and n = 1..n_max, batched over B fields.
+
+    ``w`` holds log-weights laid out as (n_max, k, B), contiguous over B, and
+    is overwritten by geometric RSK local moves.  Time row i is inserted cell
+    by cell; each cell starts a chain of moves down its diagonal, cut at
+    depth l_max (deeper moves never reach the entries read below).  After
+    row i, log tau_{k,l}(i + 1) is the sum of the l corner entries
+    w[i - q, k - 1 - q], q < l.  Returns shape (l_max, n_max, B), -inf where
+    n < l.
+    """
+    n_max, k, n_fields = w.shape
+    log_tau = np.full((l_max, n_max, n_fields), NEG_INF)
+    s = np.empty(n_fields)
+    for i in range(n_max):
+        for j in range(k):
+            for q in range(min(i, j, l_max - 1) + 1):
+                ii, jj = i - q, j - q
+                if ii == 0:
+                    if jj:
+                        w[0, jj] += w[0, jj - 1]
+                elif jj == 0:
+                    w[ii, 0] += w[ii - 1, 0]
+                else:
+                    a, b, c = w[ii - 1, jj - 1], w[ii - 1, jj], w[ii, jj - 1]
+                    np.logaddexp(b, c, out=s)
+                    w[ii, jj] += s
+                    if q + 1 < l_max:  # at the cut depth this entry is never read again
+                        np.subtract(b + c, a, out=a)
+                        a -= s
+        q = np.arange(min(l_max, i + 1))
+        np.cumsum(w[i - q, k - 1 - q], axis=0, out=log_tau[: q.size, i])
+    return log_tau
 
 
 @dataclass(frozen=True)
@@ -238,7 +278,6 @@ class PartitionTable:
     k: int
     n_values: np.ndarray
     log_tau: np.ndarray  # shape (l_max + 1, len(n_values))
-    precision_mode: str = "double"
 
     @property
     def l_max(self) -> int:
@@ -253,33 +292,18 @@ class PartitionTable:
         return float(self.log_tau[l, idx])
 
 
-def build_partition_table(
-    d: WeightField,
-    k: int,
-    l_max: int,
-    n_values,
-    precision: str = "double",
-    escalate: bool = True,
-) -> PartitionTable:
-    """Tabulate log tau_{k,l}(n) for l <= l_max over ``n_values`` via determinants.
-
-    With ``escalate=True`` a nonpositive double-precision determinant is
-    retried in double-double before giving up; the returned table records
-    the strongest mode that was needed.
-    """
+def build_partition_table(d: WeightField, k: int, l_max: int, n_values) -> PartitionTable:
+    """Tabulate log tau_{k,l}(n) for l <= l_max over ``n_values`` in one gRSK pass."""
     n_values = np.asarray(sorted(n_values), dtype=int)
-    log_tau = np.zeros((l_max + 1, len(n_values)))
-    mode_used = precision
-    for l in range(1, l_max + 1):
-        for col, n in enumerate(n_values):
-            try:
-                log_tau[l, col] = tau_lgv(d, k, l, int(n), precision)
-            except PrecisionError:
-                if not (escalate and precision == "double"):
-                    raise
-                log_tau[l, col] = tau_lgv(d, k, l, int(n), "double-double")
-                mode_used = "double-double"
-    return PartitionTable(k=k, n_values=n_values, log_tau=log_tau, precision_mode=mode_used)
+    if not (1 <= k <= d.n_rows and 0 <= l_max <= k):
+        raise ValueError(f"need 0 <= l_max <= k <= n_rows, got l_max={l_max}, k={k}")
+    if n_values.size and (n_values[0] < 0 or n_values[-1] > d.n_max):
+        raise ValueError(f"n values outside [0, {d.n_max}]")
+    n_hi = int(n_values[-1]) if n_values.size else 0
+    padded = np.full((l_max + 1, n_hi + 1), NEG_INF)
+    padded[0] = 0.0
+    padded[1:, 1:] = _grsk_log_tau(np.log(d.entries[:n_hi, :k])[..., None], l_max)[..., 0]
+    return PartitionTable(k=k, n_values=n_values, log_tau=padded[:, n_values])
 
 
 def z_array(tau: PartitionTable, k: int, n_range) -> np.ndarray:
@@ -303,22 +327,17 @@ def z_array(tau: PartitionTable, k: int, n_range) -> np.ndarray:
     return block[1:] - block[:-1]
 
 
-def polymer_line_ensemble(
-    theta: float, N: int, k_top: int, seed, precision: str = "double"
-) -> DiscreteLineEnsemble:
+def polymer_line_ensemble(theta: float, N: int, k_top: int, seed) -> DiscreteLineEnsemble:
     """The centered polymer line ensemble: k_top curves on times [-N, N].
 
     Curve i at time j is log z_{2N,i}(2N + j) plus the 2N h_theta(1)
     centering, built from a fresh environment drawn deterministically from
-    ``seed``.  Precision errors in the determinant route escalate to
-    double-double automatically and propagate if even that fails.
+    ``seed``.
     """
     if not 1 <= k_top <= N:
         raise ValueError(f"need 1 <= k_top <= N, got k_top={k_top}, N={N}")
     d = sample_weight_field(theta, n_max=3 * N, n_rows=2 * N, seed=seed)
-    table = build_partition_table(
-        d, k=2 * N, l_max=k_top, n_values=range(N, 3 * N + 1), precision=precision
-    )
+    table = build_partition_table(d, k=2 * N, l_max=k_top, n_values=range(N, 3 * N + 1))
     log_z = z_array(table, 2 * N, range(N, 3 * N + 1))
     center = 2.0 * N * scaling_constants(theta).h_theta_1
     return DiscreteLineEnsemble(curves=log_z + center, t0=-N, t1=N)
@@ -328,27 +347,16 @@ def sample_top_curves(theta: float, N: int, n_samples: int, seed) -> np.ndarray:
     """Batched top-curve sampler: rows are independent draws of the centered
     curve  log tau_{2N,1}(2N + j) + 2N h_theta(1)  for j in [-N, N].
 
-    Uses the l = 1 dynamic program directly (no determinants), vectorized
-    across samples; this is the workhorse for one-point fluctuation and
-    profile statistics at scale.
+    The depth-1 gRSK pass over all samples at once: the workhorse for
+    one-point fluctuation and profile statistics at scale.
     """
     if N < 1 or n_samples < 1:
         raise ValueError("need N >= 1 and n_samples >= 1")
     rng = np.random.default_rng(seed)
-    n_max, n_rows = 3 * N, 2 * N
-    log_d = -np.log(rng.gamma(shape=theta, scale=1.0, size=(n_samples, n_max, n_rows)))
-    out = np.empty((n_samples, 2 * N + 1))
-    col = np.empty((n_samples, n_rows))
-    for i in range(n_max):
-        d_i = log_d[:, i, :]
-        if i == 0:
-            col[:] = np.cumsum(d_i, axis=1)
-        else:
-            new0 = d_i[:, 0] + col[:, 0]
-            col[:, 0] = new0
-            for j in range(1, n_rows):
-                col[:, j] = d_i[:, j] + np.logaddexp(col[:, j], col[:, j - 1])
-        n = i + 1
-        if n >= N:
-            out[:, n - N] = col[:, -1]
-    return out + 2.0 * N * scaling_constants(theta).h_theta_1
+    gammas = rng.gamma(shape=theta, scale=1.0, size=(n_samples, 3 * N, 2 * N))
+    log_d = np.ascontiguousarray(gammas.transpose(1, 2, 0))
+    del gammas
+    np.log(log_d, out=log_d)
+    np.negative(log_d, out=log_d)
+    top = _grsk_log_tau(log_d, 1)[0, N - 1 :].T
+    return top + 2.0 * N * scaling_constants(theta).h_theta_1

@@ -138,6 +138,23 @@ class TestDeterminism:
         assert lines[header_idx] == "sample,i,j,value"
 
 
+class TestPolymerPaperRegime:
+    def test_n32_two_curves_runs(self, tmp_path):
+        # the paper's regime, where a determinant route loses every digit
+        out = tmp_path / "p"
+        assert run(["polymer", "--n", "32", "--k", "2", "--samples", "2", "--out", str(out)]) == 0
+        assert np.all(np.isfinite(csv_values(tmp_path / "p.csv")))
+
+    def test_n32_three_curves_identical_across_workers(self, tmp_path):
+        files = []
+        for workers in ("1", "2"):
+            assert run(["polymer", "--n", "32", "--k", "3", "--samples", "3", "--seed", "6",
+                        "--workers", workers, "--out", str(tmp_path / "w")]) == 0
+            files.append([(tmp_path / f"w{ext}").read_bytes()
+                          for ext in (".csv", ".json", "_tw_ecdf.csv")])
+        assert files[0] == files[1]
+
+
 class TestUsageErrors:
     def test_window_too_large(self, tmp_path):
         code = run(["polymer", "--n", "4", "--r", "3", "--out", str(tmp_path / "x")])

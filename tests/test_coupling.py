@@ -1,12 +1,79 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from gibbslines import coupling as cp
 from gibbslines import gibbs as gb
 from gibbslines.bridge import BridgeSpec, HrwSpec, sample_bridges_sequential
+from gibbslines.grids import GridDensity, trapezoid_cdf
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 HRW = HrwSpec.log_gamma(1.0)
+
+
+# -- point order and single-site conditionals: test-side views of the fill --
+
+@dataclass(frozen=True)
+class PointOrder:
+    """The lexicographic (row-major) complete order on the interior lattice
+    [1, k] x [1, T-2]; successors of a point are its conditioning set during
+    the reverse-order fill."""
+
+    k: int
+    t: int
+
+    def __post_init__(self):
+        if self.k < 1 or self.t < 2:
+            raise ValueError("need k >= 1 and T >= 2")
+
+    @property
+    def points(self) -> tuple:
+        n = self.t - 2
+        return tuple((i, j) for i in range(1, self.k + 1) for j in range(1, n + 1))
+
+    def a_set(self, point) -> frozenset:
+        """Points strictly after ``point`` (already assigned when it is drawn)."""
+        return frozenset(q for q in self.points if q > tuple(point))
+
+    def b_set(self, point) -> frozenset:
+        """Points strictly before ``point`` (integrated out)."""
+        return frozenset(q for q in self.points if q < tuple(point))
+
+
+def order_points(k, T):
+    return PointOrder(k=k, t=T)
+
+
+def conditional_density(
+    boundary, fixed, point, T, hrw, interaction=None, m=cp.DEFAULT_COUPLING_GRID_M, window=None
+):
+    """Normalized conditional density of one interior lattice point given
+    values on its successor set, everything before it in draw order
+    integrated out by the engine's transfer sweeps."""
+    eng = cp.GrandCouplingEngine(boundary, T, hrw, interaction, m, window)
+    p1, p2 = point
+    if set(fixed) != set(order_points(eng.k, T).a_set(point)):
+        raise ValueError("assigned values must cover exactly the successor set")
+    vals = np.empty((1, eng.k, T))
+    vals[0, :, 0] = boundary.x_vec
+    vals[0, :, -1] = boundary.y_vec
+    for (i, j), v in fixed.items():
+        vals[0, i - 1, j] = float(v)
+    below, alphas, beta = eng._row_start(p1, vals)
+    if beta is not None:
+        for j in range(eng.n, p2, -1):
+            beta = eng._beta_step(beta, j - 1, vals[:, p1 - 1, j])
+    dens = eng._site_values(p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1])
+    return GridDensity(lo=eng.lo, hi=eng.hi, values=dens[0]).normalized()
+
+
+def conditional_cdf(density, s):
+    """F(s) of a grid conditional density: cumulative trapezoid, normalized;
+    the numeric CDF must be nondecreasing."""
+    c = trapezoid_cdf(density.values, density.step)
+    assert np.all(np.diff(c) >= 0.0), "non-monotone numeric CDF"
+    return float(np.interp(s, density.x, c / c[-1]))
 
 
 # -- per-draw reference route: one einsum per transfer step, np.interp ------
@@ -110,15 +177,15 @@ def free_boundary(k, T, x=None, y=None):
 
 class TestPointOrder:
     def test_single_curve(self):
-        po = cp.order_points(1, 4)
+        po = order_points(1, 4)
         assert po.points == ((1, 1), (1, 2))
 
     def test_two_curves(self):
-        po = cp.order_points(2, 3)
+        po = order_points(2, 3)
         assert po.points == ((1, 1), (2, 1))
 
     def test_partition_identity(self):
-        po = cp.order_points(2, 5)
+        po = order_points(2, 5)
         total = len(po.points)
         for p in po.points:
             assert len(po.a_set(p)) + len(po.b_set(p)) + 1 == total
@@ -129,7 +196,7 @@ class TestConditionalDensity:
     def test_zero_interaction_single_point(self):
         # T=3, k=1: the only interior point has density G(u - x) G(y - u)
         b = free_boundary(1, 3, [0.2], [1.0])
-        dens = cp.conditional_density(
+        dens = conditional_density(
             b, {}, (1, 1), 3, HRW, gb.InteractionSpec.zero(0, 2), m=512
         )
         u = dens.x
@@ -148,7 +215,7 @@ class TestConditionalDensity:
         rng = np.random.default_rng(0)
         chains = gb.sample_ensembles_mcmc(spec, 4000, 60, rng, m=256)
         # bottom-right interior point (2, T-2) has empty successor set
-        dens = cp.conditional_density(b, {}, (2, T - 2), T, HRW, m=512)
+        dens = conditional_density(b, {}, (2, T - 2), T, HRW, m=512)
         draws = dens.sample(np.random.default_rng(1), 4000)
         d = ks_distance(EmpiricalCDF(chains[:, 1, T - 2]), EmpiricalCDF(draws))
         assert d < 0.05
@@ -156,25 +223,25 @@ class TestConditionalDensity:
     def test_refinement_stability(self):
         b = cp.BoundaryTriple([0.5], [1.0], [-1.0] * 4)
         window = (-14.0, 15.0)
-        d1 = cp.conditional_density(b, {(1, 2): 0.7}, (1, 1), 4, HRW, m=1024, window=window)
-        d2 = cp.conditional_density(b, {(1, 2): 0.7}, (1, 1), 4, HRW, m=2048, window=window)
+        d1 = conditional_density(b, {(1, 2): 0.7}, (1, 1), 4, HRW, m=1024, window=window)
+        d2 = conditional_density(b, {(1, 2): 0.7}, (1, 1), 4, HRW, m=2048, window=window)
         u = np.linspace(-5, 6, 500)
-        c1 = np.array([cp.conditional_cdf(d1, s) for s in u])
-        c2 = np.array([cp.conditional_cdf(d2, s) for s in u])
+        c1 = np.array([conditional_cdf(d1, s) for s in u])
+        c2 = np.array([conditional_cdf(d2, s) for s in u])
         assert np.max(np.abs(c1 - c2)) <= 1e-4
 
     def test_wrong_conditioning_set(self):
         b = free_boundary(1, 4)
         with pytest.raises(ValueError):
-            cp.conditional_density(b, {(1, 1): 0.0}, (1, 2), 4, HRW)
+            conditional_density(b, {(1, 1): 0.0}, (1, 2), 4, HRW)
 
 
 class TestConditionalCdf:
     def test_bijective_range(self):
         b = free_boundary(1, 3, [0.0], [0.5])
-        dens = cp.conditional_density(b, {}, (1, 1), 3, HRW, m=512)
-        assert cp.conditional_cdf(dens, dens.lo) <= 1e-10
-        assert cp.conditional_cdf(dens, dens.hi) >= 1.0 - 1e-10
+        dens = conditional_density(b, {}, (1, 1), 3, HRW, m=512)
+        assert conditional_cdf(dens, dens.lo) <= 1e-10
+        assert conditional_cdf(dens, dens.hi) >= 1.0 - 1e-10
         # strictly increasing wherever the density carries non-negligible mass
         # (below ~1e-12 of the peak the float cumulative sum cannot resolve it)
         grid_cdf = dens.cdf_values()
@@ -184,16 +251,14 @@ class TestConditionalCdf:
 
     def test_median(self):
         b = free_boundary(1, 3, [0.0], [0.5])
-        dens = cp.conditional_density(b, {}, (1, 1), 3, HRW, m=512)
+        dens = conditional_density(b, {}, (1, 1), 3, HRW, m=512)
         med = dens.ppf(0.5)
-        assert cp.conditional_cdf(dens, med) == pytest.approx(0.5, abs=1e-6)
+        assert conditional_cdf(dens, med) == pytest.approx(0.5, abs=1e-6)
 
     def test_symmetric_density(self):
-        from gibbslines.grids import GridDensity
-
         x = np.linspace(-3, 3, 601)
         dens = GridDensity(lo=-3.0, hi=3.0, values=np.exp(-(x**2))).normalized()
-        assert cp.conditional_cdf(dens, 0.0) == pytest.approx(0.5, abs=1e-6)
+        assert conditional_cdf(dens, 0.0) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestGrandCouplingSample:

@@ -8,6 +8,8 @@ from gibbslines import polymer as pm
 from gibbslines.errors import PrecisionError, ResourceLimitError
 from gibbslines.special import scaling_constants
 
+import polymer_oracle
+
 
 def inv_gamma_pdf(x, theta):
     return x ** (-theta - 1.0) * math.exp(-1.0 / x) / math.gamma(theta)
@@ -94,15 +96,16 @@ class TestTau:
             )
 
     def test_oracle_triangle_small(self):
-        # enumeration = determinant on 20 random fields
+        # enumeration = determinant = gRSK on 20 random fields
         for trial in range(20):
             field = pm.sample_weight_field(1.0, 5, 4, seed=4000 + trial)
-            for n in range(1, 6):
-                for k in range(1, 5):
+            for k in range(1, 5):
+                table = pm.build_partition_table(field, k, k, range(1, 6))
+                for n in range(1, 6):
                     for l in range(1, min(k, n) + 1):
                         brute = pm.tau_bruteforce(field, k, l, n)
-                        det = pm.tau_lgv(field, k, l, n)
-                        assert det == pytest.approx(brute, rel=1e-9)
+                        assert pm.tau_lgv(field, k, l, n) == pytest.approx(brute, rel=1e-9)
+                        assert table.value(l, n) == pytest.approx(brute, rel=1e-9)
 
     def test_enumeration_guard(self):
         field = pm.sample_weight_field(1.0, 12, 12, seed=0)
@@ -118,16 +121,59 @@ class TestTau:
         for (k, l, n) in ((3, 2, 4), (4, 1, 3), (2, 2, 3)):
             assert pm.tau_lgv(bigger, k, l, n) >= pm.tau_lgv(field, k, l, n)
 
-    def test_double_double_agrees(self):
-        field = pm.sample_weight_field(1.0, 5, 4, seed=17)
-        a = pm.tau_lgv(field, 4, 2, 5, precision="double")
-        b = pm.tau_lgv(field, 4, 2, 5, precision="double-double")
-        assert a == pytest.approx(b, rel=1e-12)
+    def test_lgv_accurate_or_raises(self):
+        # the determinant oracle never returns a value off the exact one
+        returned = raised = 0
+        for N, seed in ((8, 1), (16, 2)):
+            field = pm.sample_weight_field(1.0, 3 * N, 2 * N, seed=seed)
+            for n in range(N, 3 * N + 1):
+                exact = polymer_oracle.log_tau(field.entries, 2 * N, 2, n)
+                try:
+                    assert abs(pm.tau_lgv(field, 2 * N, 2, n) - exact) <= 1e-8
+                    returned += 1
+                except PrecisionError:
+                    raised += 1
+        assert returned and raised
 
-    def test_bad_precision_mode(self):
-        field = pm.sample_weight_field(1.0, 3, 3, seed=0)
+    def test_exact_oracle_matches_enumeration(self):
+        for seed in (0, 1):
+            field = pm.sample_weight_field(1.0, 5, 4, seed=seed)
+            for (k, l, n) in ((4, 2, 5), (4, 3, 4), (3, 3, 5), (4, 1, 3)):
+                exact = polymer_oracle.log_tau(field.entries, k, l, n)
+                assert exact == pytest.approx(pm.tau_bruteforce(field, k, l, n), rel=1e-12)
+
+
+class TestGrskPass:
+    def test_cut_depth_is_exact(self):
+        # moves cut at depth l_max leave every tau_{k,l}, l <= l_max, bit-identical
+        log_d = np.log(np.random.default_rng(3).gamma(1.0, size=(8, 6, 5)))
+        full = pm._grsk_log_tau(log_d.copy(), 6)
+        for l_max in range(1, 7):
+            assert np.array_equal(pm._grsk_log_tau(log_d.copy(), l_max), full[:l_max])
+
+    def test_batch_columns_are_independent_fields(self):
+        fields = [pm.sample_weight_field(0.8, 6, 5, seed=s) for s in range(4)]
+        batch = np.stack([f.log_entries for f in fields], axis=-1)
+        log_tau = pm._grsk_log_tau(batch, 3)
+        for b, f in enumerate(fields):
+            table = pm.build_partition_table(f, 5, 3, range(1, 7))
+            assert np.array_equal(log_tau[..., b], table.log_tau[1:])
+
+    def test_domain_checks(self):
+        field = pm.sample_weight_field(1.0, 4, 3, seed=0)
         with pytest.raises(ValueError):
-            pm.tau_lgv(field, 2, 1, 2, precision="quad")
+            pm.build_partition_table(field, k=3, l_max=4, n_values=[4])
+        with pytest.raises(ValueError):
+            pm.build_partition_table(field, k=4, l_max=2, n_values=[4])
+        for bad_n in ([5], [-1, 2]):
+            with pytest.raises(ValueError):
+                pm.build_partition_table(field, k=3, l_max=2, n_values=bad_n)
+        table = pm.build_partition_table(field, k=3, l_max=3, n_values=range(0, 5))
+        assert np.all(table.log_tau[0] == 0.0)
+        for l in (1, 2, 3):
+            for n in range(0, l):
+                assert table.value(l, n) == -np.inf
+            assert np.isfinite(table.value(l, l))
 
 
 class TestZArray:
@@ -212,3 +258,43 @@ class TestLineEnsemble:
     def test_invalid_k_top(self):
         with pytest.raises(ValueError):
             pm.polymer_line_ensemble(1.0, 2, 3, seed=0)
+
+    @pytest.mark.parametrize("N, k_top, seed", [(16, 4, 1), (32, 3, 5), (16, 2, 2)])
+    def test_matches_exact_oracle(self, N, k_top, seed):
+        # the paper's regime, where the double determinant loses every digit
+        ens = pm.polymer_line_ensemble(1.0, N, k_top, seed=seed)
+        exact = polymer_oracle.polymer_log_z(1.0, N, k_top, seed)
+        center = 2 * N * scaling_constants(1.0).h_theta_1
+        assert np.abs(ens.curves - center - exact).max() <= 1e-8
+
+
+def reference_top_curves(theta, N, n_samples, seed):
+    """The former l = 1 dynamic program of ``sample_top_curves``, one
+    vectorized column update per time row: the oracle for its bit pattern."""
+    rng = np.random.default_rng(seed)
+    n_max, n_rows = 3 * N, 2 * N
+    log_d = -np.log(rng.gamma(shape=theta, scale=1.0, size=(n_samples, n_max, n_rows)))
+    out = np.empty((n_samples, 2 * N + 1))
+    col = np.empty((n_samples, n_rows))
+    for i in range(n_max):
+        d_i = log_d[:, i, :]
+        if i == 0:
+            col[:] = np.cumsum(d_i, axis=1)
+        else:
+            col[:, 0] = d_i[:, 0] + col[:, 0]
+            for j in range(1, n_rows):
+                col[:, j] = d_i[:, j] + np.logaddexp(col[:, j], col[:, j - 1])
+        if i + 1 >= N:
+            out[:, i + 1 - N] = col[:, -1]
+    return out + 2.0 * N * scaling_constants(theta).h_theta_1
+
+
+@pytest.mark.parametrize(
+    "theta, N, n_samples, seed",
+    [(1.0, 1, 3, 0), (1.0, 4, 50, 12), (0.7, 8, 3, 1), (2.5, 5, 1, 9), (1.0, 16, 64, 4)],
+)
+def test_top_curves_bit_identical_to_reference(theta, N, n_samples, seed):
+    assert np.array_equal(
+        pm.sample_top_curves(theta, N, n_samples, seed),
+        reference_top_curves(theta, N, n_samples, seed),
+    )
