@@ -23,7 +23,7 @@ import numpy as np
 from .bridge import HrwSpec
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError
-from .gibbs import InteractionSpec
+from .gibbs import Hamiltonian, InteractionSpec
 from .grids import trapezoid_cdf
 from .reports import StatReport
 
@@ -170,7 +170,7 @@ class GrandCouplingEngine:
         self.grid = np.linspace(self.lo, self.hi, m)
         # gmat[a, b] = G(grid_b - grid_a)
         self.gmat = self._g(self.grid[None, :] - self.grid[:, None])
-        self._emats: dict[int, np.ndarray] = {}
+        self._emats: dict[Hamiltonian, np.ndarray] = {}  # one matrix per distinct H_j
         self._bottom_alphas: list[np.ndarray] | None = None
 
     # -- kernel pieces ----------------------------------------------------
@@ -186,9 +186,10 @@ class GrandCouplingEngine:
 
     def _emat(self, j: int) -> np.ndarray:
         """exp(-H_j(grid_b - grid_a)) for adjacent free rows."""
-        if j not in self._emats:
-            self._emats[j] = self._w(j, self.grid[None, :] - self.grid[:, None])
-        return self._emats[j]
+        h = self.interaction.bond(j)
+        if h not in self._emats:
+            self._emats[h] = self._w(j, self.grid[None, :] - self.grid[:, None])
+        return self._emats[h]
 
     @staticmethod
     def _rescaled(arr: np.ndarray) -> np.ndarray:

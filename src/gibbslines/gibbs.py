@@ -76,6 +76,8 @@ class Hamiltonian:
         slopes = np.diff(v) / np.diff(x)
         if np.any(np.diff(slopes) < -1e-9):
             raise ValueError("tabulated Hamiltonian must be convex")
+        object.__setattr__(self, "table_x", tuple(x.tolist()))  # hashable: engines key on H
+        object.__setattr__(self, "table_values", tuple(v.tolist()))
 
     def log_weight(self, x) -> np.ndarray:
         """-H(x), vectorized; arguments of -inf contribute 0."""

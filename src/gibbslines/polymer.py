@@ -39,6 +39,7 @@ __all__ = [
 
 NEG_INF = float("-inf")
 LGV_TOLERANCE = 1e-8  # largest first-order error bound tau_lgv returns a value under
+DRAW_CHUNK_BYTES = 1 << 20  # sample_top_curves draws in chunks; they read the stream as one draw
 
 
 @dataclass(frozen=True)
@@ -245,23 +246,26 @@ def _grsk_log_tau(w: np.ndarray, l_max: int) -> np.ndarray:
     """
     n_max, k, n_fields = w.shape
     log_tau = np.full((l_max, n_max, n_fields), NEG_INF)
+    rows = [list(row) for row in w]  # rows[i][j] is the (B,) view w[i, j]
     s = np.empty(n_fields)
     for i in range(n_max):
         for j in range(k):
             for q in range(min(i, j, l_max - 1) + 1):
                 ii, jj = i - q, j - q
+                cell = rows[ii][jj]
                 if ii == 0:
                     if jj:
-                        w[0, jj] += w[0, jj - 1]
+                        np.add(cell, rows[0][jj - 1], out=cell)
                 elif jj == 0:
-                    w[ii, 0] += w[ii - 1, 0]
+                    np.add(cell, rows[ii - 1][0], out=cell)
                 else:
-                    a, b, c = w[ii - 1, jj - 1], w[ii - 1, jj], w[ii, jj - 1]
+                    b, c = rows[ii - 1][jj], rows[ii][jj - 1]
                     np.logaddexp(b, c, out=s)
-                    w[ii, jj] += s
+                    np.add(cell, s, out=cell)
                     if q + 1 < l_max:  # at the cut depth this entry is never read again
+                        a = rows[ii - 1][jj - 1]
                         np.subtract(b + c, a, out=a)
-                        a -= s
+                        np.subtract(a, s, out=a)
         q = np.arange(min(l_max, i + 1))
         np.cumsum(w[i - q, k - 1 - q], axis=0, out=log_tau[: q.size, i])
     return log_tau
@@ -348,15 +352,18 @@ def sample_top_curves(theta: float, N: int, n_samples: int, seed) -> np.ndarray:
     curve  log tau_{2N,1}(2N + j) + 2N h_theta(1)  for j in [-N, N].
 
     The depth-1 gRSK pass over all samples at once: the workhorse for
-    one-point fluctuation and profile statistics at scale.
+    one-point fluctuation and profile statistics at scale.  Sample b reads
+    the b-th field of the ``seed`` stream, so a smaller batch is a prefix.
     """
     if N < 1 or n_samples < 1:
         raise ValueError("need N >= 1 and n_samples >= 1")
+    center = 2.0 * N * scaling_constants(theta).h_theta_1  # rejects a bad theta before any draw
     rng = np.random.default_rng(seed)
-    gammas = rng.gamma(shape=theta, scale=1.0, size=(n_samples, 3 * N, 2 * N))
-    log_d = np.ascontiguousarray(gammas.transpose(1, 2, 0))
-    del gammas
-    np.log(log_d, out=log_d)
-    np.negative(log_d, out=log_d)
-    top = _grsk_log_tau(log_d, 1)[0, N - 1 :].T
-    return top + 2.0 * N * scaling_constants(theta).h_theta_1
+    log_d = np.empty((3 * N, 2 * N, n_samples))
+    chunk = max(1, DRAW_CHUNK_BYTES // log_d[..., 0].nbytes)
+    for lo in range(0, n_samples, chunk):
+        g = rng.gamma(shape=theta, scale=1.0, size=(min(chunk, n_samples - lo), 3 * N, 2 * N))
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        log_d[..., lo : lo + len(g)] = g.transpose(1, 2, 0)
+    return _grsk_log_tau(log_d, 1)[0, N - 1 :].T + center

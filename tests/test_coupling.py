@@ -366,6 +366,41 @@ class TestBatchedSample:
         assert np.array_equal(np.array([eng.sample(om) for om in omega]), full)
 
 
+class TestBondMatrices:
+    def test_equal_bonds_share_one_matrix(self):
+        T = 16
+        eng = cp.GrandCouplingEngine(free_boundary(2, T), T, HRW)
+        eng.sample(np.random.default_rng(13).uniform(size=(3, 2 * (T - 2))))
+        diff = eng.grid[None, :] - eng.grid[:, None]
+        mats = [eng._emat(j) for j in range(T - 1)]
+        assert len(eng._emats) == 1
+        assert all(mat is mats[0] for mat in mats)
+        assert np.array_equal(mats[0], eng._w(1, diff))
+
+    def test_one_matrix_per_distinct_hamiltonian(self):
+        T = 8
+        kinds = [gb.Hamiltonian("exp"), gb.Hamiltonian("zero")]
+        inter = gb.InteractionSpec(0, T - 1, tuple(kinds[j % 2] for j in range(T - 1)))
+        eng = cp.GrandCouplingEngine(free_boundary(2, T), T, HRW, inter)
+        eng.sample(np.random.default_rng(14).uniform(size=(3, 2 * (T - 2))))
+        diff = eng.grid[None, :] - eng.grid[:, None]
+        assert len(eng._emats) == 2
+        for j in range(T - 1):
+            assert np.array_equal(eng._emat(j), eng._w(j, diff))
+
+    def test_tabulated_bonds_are_keys(self):
+        # tables given as arrays or lists are stored as tuples: equal tables hash equal
+        x = np.linspace(-1.0, 2.0, 5)
+        h1 = gb.Hamiltonian("tabulated", table_x=x, table_values=(x + 1.0) ** 2)
+        h2 = gb.Hamiltonian("tabulated", table_x=list(x), table_values=tuple((x + 1.0) ** 2))
+        assert h1 == h2 and len({h1, h2}) == 1
+        T = 5
+        inter = gb.InteractionSpec(0, T - 1, (h1, h2) * 2)
+        eng = cp.GrandCouplingEngine(free_boundary(2, T), T, HRW, inter)
+        assert eng._emat(1) is eng._emat(2)
+        assert np.array_equal(eng._emat(2), eng._w(2, eng.grid[None, :] - eng.grid[:, None]))
+
+
 class TestMonotonicity:
     def test_identical_boundaries_identical_output(self):
         b = cp.BoundaryTriple([1.0, -0.5], [1.5, 0.0], [-2.0] * 6)

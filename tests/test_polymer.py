@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,12 +249,16 @@ class TestLineEnsemble:
         assert np.all(np.isfinite(ens.curves))
 
     def test_batched_top_curves_match_statistics(self):
-        # the batched sampler and the ensemble route agree in distribution;
-        # here check shape, centering scale and determinism
         tc = pm.sample_top_curves(1.0, 4, 50, seed=12)
         tc2 = pm.sample_top_curves(1.0, 4, 50, seed=12)
         assert tc.shape == (50, 9)
         assert np.array_equal(tc, tc2)
+        # with one sample both routes draw the same field from default_rng(seed);
+        # they differ only in log(1/g) against -log(g)
+        for theta, N in ((1.0, 4), (0.7, 8), (2.5, 16), (1.0, 32)):
+            top = pm.sample_top_curves(theta, N, 1, seed=N)[0]
+            ens = pm.polymer_line_ensemble(theta, N, 1, seed=N)
+            assert np.abs(top - ens.curves[0]).max() <= 1e-12
 
     def test_invalid_k_top(self):
         with pytest.raises(ValueError):
@@ -289,12 +294,77 @@ def reference_top_curves(theta, N, n_samples, seed):
     return out + 2.0 * N * scaling_constants(theta).h_theta_1
 
 
+def draw_chunk(N):
+    """Samples per gamma draw in ``sample_top_curves`` at size N."""
+    return max(1, pm.DRAW_CHUNK_BYTES // (8 * 3 * N * 2 * N))
+
+
+CHUNK_EDGES = (1, draw_chunk(16) - 1, draw_chunk(16), draw_chunk(16) + 1, 3 * draw_chunk(16) + 2)
+
+
 @pytest.mark.parametrize(
     "theta, N, n_samples, seed",
-    [(1.0, 1, 3, 0), (1.0, 4, 50, 12), (0.7, 8, 3, 1), (2.5, 5, 1, 9), (1.0, 16, 64, 4)],
+    [(1.0, 1, 3, 0), (1.0, 4, 50, 12), (0.7, 8, 3, 1), (2.5, 5, 1, 9), (1.0, 16, 64, 4)]
+    + [(0.8, 16, n, 6) for n in CHUNK_EDGES]
+    + [(1.0, 128, 3, 2)],
 )
 def test_top_curves_bit_identical_to_reference(theta, N, n_samples, seed):
     assert np.array_equal(
         pm.sample_top_curves(theta, N, n_samples, seed),
         reference_top_curves(theta, N, n_samples, seed),
     )
+
+
+@pytest.mark.parametrize("n_samples", CHUNK_EDGES[:4])
+def test_top_curves_prefix_of_larger_batch(n_samples):
+    # sample b reads the b-th field of the stream, whatever the batch and chunking
+    small = pm.sample_top_curves(1.0, 16, n_samples, seed=11)
+    assert np.array_equal(small, pm.sample_top_curves(1.0, 16, n_samples + 7, seed=11)[:n_samples])
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
+def test_top_curves_reject_bad_theta(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any draw: no divide-by-zero on the way
+        with pytest.raises(ValueError, match="theta must be positive"):
+            pm.sample_top_curves(theta, 4, 10, seed=0)
+
+
+def reference_grsk_log_tau(w, l_max):
+    """The gRSK pass with every cell read and written back through 2-d
+    indexing: an independent spelling of ``_grsk_log_tau`` and the oracle
+    for its bit pattern."""
+    n_max, k, n_fields = w.shape
+    log_tau = np.full((l_max, n_max, n_fields), -np.inf)
+    s = np.empty(n_fields)
+    for i in range(n_max):
+        for j in range(k):
+            for q in range(min(i, j, l_max - 1) + 1):
+                ii, jj = i - q, j - q
+                if ii == 0:
+                    if jj:
+                        w[0, jj] += w[0, jj - 1]
+                elif jj == 0:
+                    w[ii, 0] += w[ii - 1, 0]
+                else:
+                    a, b, c = w[ii - 1, jj - 1], w[ii - 1, jj], w[ii, jj - 1]
+                    np.logaddexp(b, c, out=s)
+                    w[ii, jj] += s
+                    if q + 1 < l_max:
+                        np.subtract(b + c, a, out=a)
+                        a -= s
+        q = np.arange(min(l_max, i + 1))
+        np.cumsum(w[i - q, k - 1 - q], axis=0, out=log_tau[: q.size, i])
+    return log_tau
+
+
+@pytest.mark.parametrize("n_fields", [1, 4])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5, 6])
+def test_grsk_pass_bit_identical_to_reference(l_max, n_fields):
+    rng = np.random.default_rng(10 * l_max + n_fields)
+    # (5, 6), (3, 6) and (1, 6) have fewer time rows than l_max = 6
+    for shape in ((9, 6), (5, 6), (3, 6), (1, 6), (7, 8)):
+        log_d = np.log(rng.gamma(0.9, size=shape + (n_fields,)))
+        w, w_ref = log_d.copy(), log_d.copy()
+        assert np.array_equal(pm._grsk_log_tau(w, l_max), reference_grsk_log_tau(w_ref, l_max))
+        assert np.array_equal(w, w_ref)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 from scipy.integrate import simpson
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import airy
 
 from gibbslines import polymer as pm
@@ -234,7 +235,33 @@ def tw2_cdf(s):
     return out
 
 
+def reference_gue_tw_oracle(M, n_samples, rng):
+    """gue_tw_oracle through scipy's validated eigvalsh_tridiagonal: the
+    oracle for the bits of its direct LAPACK call."""
+    diag = rng.normal(size=(n_samples, M))
+    off = np.sqrt(rng.chisquare(2.0 * np.arange(M - 1, 0, -1), size=(n_samples, M - 1)) / 2.0)
+    top = np.array([
+        eigvalsh_tridiagonal(d, e, select="i", select_range=(M - 1, M - 1))[0]
+        for d, e in zip(diag, off)
+    ])
+    return st_mod.EmpiricalCDF(M ** (1.0 / 6.0) * (top - 2.0 * math.sqrt(M)))
+
+
 class TestGueOracle:
+    @pytest.mark.parametrize("M, n, seed", [(50, 300, 0), (100, 500, 2), (200, 400, 3)])
+    def test_bit_identical_to_reference(self, M, n, seed):
+        ecdf = st_mod.gue_tw_oracle(M, n, np.random.default_rng(seed))
+        ref = reference_gue_tw_oracle(M, n, np.random.default_rng(seed))
+        assert np.array_equal(ecdf.samples, ref.samples)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(d, e, *args):
+            return 0, np.zeros(d.size), None, None, 1
+
+        monkeypatch.setattr(st_mod, "dstebz", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            st_mod.gue_tw_oracle(50, 3, np.random.default_rng(0))
+
     def test_valid_cdf(self):
         ecdf = st_mod.gue_tw_oracle(60, 200, np.random.default_rng(3))
         assert ecdf.count == 200
