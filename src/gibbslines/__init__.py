@@ -15,12 +15,12 @@ from .coupling import (
     GrandCouplingEngine,
     continuity_check,
     grand_coupling_sample,
+    log_partition,
     monotonicity_check,
 )
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError, ResourceLimitError
 from .gibbs import (
-    AcceptanceEstimate,
     EnsembleSpec,
     Hamiltonian,
     InteractionSpec,

@@ -47,7 +47,6 @@ _DEFAULTS = {
     "spread": 2.0,
     "raise_by": 0.0,
     "interaction": "exp",
-    "n_mc": 400,
 }
 
 
@@ -72,7 +71,6 @@ class RunConfig:
     spread: float
     raise_by: float
     interaction: str
-    n_mc: int
     input: str | None = None
 
     def to_dict(self) -> dict:
@@ -141,14 +139,14 @@ def _ensemble_summaries(ensembles, cfg: RunConfig) -> dict:
     consts = scaling_constants(theta)
     tw, sups, infs = [], [], []
     gaps, accs = [], []
-    for idx, ens in enumerate(ensembles):
+    for ens in ensembles:
         tw.append(stats_mod.tw_statistic(ens, consts, N, 0))
         hi, lo = stats_mod.window_extrema(ens, consts, N, cfg.r, 1)
         sups.append(hi)
         infs.append(lo)
         if ens.k >= 2:
             rep = stats_mod.gap_and_acceptance_diagnostics(
-                ens, consts, N, cfg.r, ens.k - 1, cfg.n_mc, _task_rng(cfg.seed, 10**6 + idx)
+                ens, consts, N, cfg.r, ens.k - 1, m=cfg.grid or None
             )
             gaps.append(rep["min_gap"][0])
             accs.append(rep["acceptance"][0])
@@ -214,12 +212,10 @@ def run_bridge(cfg: RunConfig) -> list[str]:
 
 
 def run_ensemble(cfg: RunConfig) -> list[str]:
+    m = cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M
+    z = gibbs_mod.acceptance_probability(_ladder_spec(cfg), m)  # fails fast past the state cap
     curves, attempts = _sample_chunks(cfg)
-    kwargs = {"m": cfg.grid} if cfg.grid else {}
-    acc = gibbs_mod.acceptance_probability(
-        _ladder_spec(cfg), max(100, cfg.n_mc), _task_rng(cfg.seed, 2**40), **kwargs
-    )
-    summary = {"acceptance": acc.to_dict() | {"attempts": attempts}}
+    summary = {"acceptance": {"estimate": z, "grid_m": m, "attempts": attempts}}
     return _emit(cfg, _ensemble_rows(curves, 0), ["sample", "i", "j", "value"], summary)
 
 
@@ -326,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spread", type=float, default=None, help="curve ladder spacing")
         p.add_argument("--raise-by", dest="raise_by", type=float, default=None)
         p.add_argument("--interaction", type=str, choices=["exp", "zero"], default=None)
-        p.add_argument("--n-mc", dest="n_mc", type=int, default=None)
         p.add_argument("--input", type=str, default=None, help="input CSV (stats)")
     return parser
 

@@ -16,14 +16,15 @@ the continuity of the construction are exposed as empirical check routines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bridge import HrwSpec
 from .ensembles import DiscreteLineEnsemble
-from .errors import PrecisionError
-from .gibbs import Hamiltonian, InteractionSpec
+from .errors import PrecisionError, ResourceLimitError
+from .gibbs import EnsembleSpec, Hamiltonian, InteractionSpec
 from .grids import trapezoid_cdf
 from .reports import StatReport
 
@@ -34,9 +35,11 @@ __all__ = [
     "monotonicity_check",
     "continuity_check",
     "default_window",
+    "log_partition",
 ]
 
 DEFAULT_COUPLING_GRID_M = 256
+MAX_SWEEP_STATES = 2**21  # joint grid states m^k of one partition sweep (16 MB per array)
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,14 @@ def default_window(
     for b in boundaries:
         vals.extend(b.x_vec)
         vals.extend(b.y_vec)
-        vals.extend(v for v in b.z_vec if np.isfinite(v))
-    vals = np.asarray(vals)
+        vals.extend(b.z_vec)
+    return _padded_range(vals, T, hrw, pad_sigmas)
+
+
+def _padded_range(vals, T: int, hrw: HrwSpec, pad_sigmas: float = 8.0) -> tuple[float, float]:
+    """Range of the finite ``vals`` padded by the free-walk spread over T steps."""
+    vals = np.asarray(vals, dtype=float)
+    vals = vals[np.isfinite(vals)]
     mu = hrw.increment_mean()
     sig = np.sqrt(hrw.increment_var())
     pad = abs(mu) * T + pad_sigmas * sig * np.sqrt(T) + 4.0 * sig
@@ -117,6 +126,97 @@ def _on_axes(mat: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
 def _on_last_axis(rows: np.ndarray, n_axes: int) -> np.ndarray:
     """View of per-draw (draws, m) rows broadcasting over the last grid axis."""
     return rows.reshape((rows.shape[0],) + (1,) * (n_axes - 1) + rows.shape[1:])
+
+
+def log_partition(spec: EnsembleSpec, m: int = DEFAULT_COUPLING_GRID_M) -> float:
+    """log of the partition function of ``spec``: the integral over the
+    interior points of the free increment densities times the Boltzmann
+    weight, by one forward transfer sweep on a uniform m-point grid (a
+    Riemann sum, rescaled by its peak at every column).
+
+    The sweep carries the joint grid function (m,)^k of the free curves
+    across the columns.  Bond j pairs row i+1 at column j+1 with row i at
+    column j, as in ``gibbs.log_boltzmann_weight``; finite ``f``/``g`` rows
+    enter as the top and bottom bonds.  The grid spans the boundary data
+    padded by the free-walk spread, as in ``default_window``.  With every bond
+    switched off the curves are independent and each is swept on its own.  A
+    joint sweep holds m^k states and costs k m^(k+1) multiply-adds per column;
+    more than ``MAX_SWEEP_STATES`` states raise ``ResourceLimitError``.
+    """
+    if m < 2:
+        raise ValueError("grid resolution must be >= 2")
+    T = spec.b - spec.a
+    grid = np.linspace(*_padded_range(spec.x_vec + spec.y_vec + spec.f + spec.g, T, spec.hrw), m)
+    with np.errstate(under="ignore"):
+        gmat = np.exp(spec.hrw.log_g(grid[None, :] - grid[:, None]))  # G(grid_b - grid_a)
+    rows = range(spec.n_curves)
+    if all(spec.interaction.bond(j).kind == "zero" for j in range(spec.a, spec.b)):
+        return float(sum(_log_sweep(spec, grid, gmat, [i]) for i in rows))
+    return _log_sweep(spec, grid, gmat, list(rows))
+
+
+def _log_sweep(spec: EnsembleSpec, grid: np.ndarray, gmat: np.ndarray, rows: list) -> float:
+    """``log_partition`` of the curves ``rows`` of ``spec`` swept jointly, with
+    the curves above and below them as in ``spec`` (exact only when ``rows``
+    are all the curves or every bond is off)."""
+    x = np.asarray(spec.x_vec)[rows]
+    y = np.asarray(spec.y_vec)[rows]
+    f = np.asarray(spec.f, dtype=float)
+    g = np.asarray(spec.g, dtype=float)
+    k, T, m = x.size, spec.b - spec.a, grid.size
+
+    def weight(j, arg):
+        """exp(-H(arg)) of bond j (counted from spec.a)."""
+        with np.errstate(under="ignore"):
+            return np.exp(spec.interaction.bond(spec.a + j).log_weight(arg))
+
+    def density(arg):
+        with np.errstate(under="ignore"):
+            return np.exp(spec.hrw.log_g(arg))
+
+    def checked_log(value):
+        if not value > 0.0:
+            raise PrecisionError("partition sweep underflowed to zero mass")
+        return math.log(value)
+
+    if T == 1:  # no interior point: the weight of the endpoint configuration
+        bonds = weight(0, np.append(y, g[1]) - np.concatenate([[f[0]], x]))
+        return float(spec.hrw.log_g(y - x).sum()) + checked_log(float(np.prod(bonds)))
+    if m**k > MAX_SWEEP_STATES:
+        raise ResourceLimitError(
+            f"partition sweep over {m}^{k} grid states exceeds {MAX_SWEEP_STATES}"
+        )
+
+    def on_axis(vec, i):
+        """(m,) vector broadcasting over grid axis i of a (1,) + (m,)*k stack."""
+        return vec.reshape((1,) * (i + 1) + (m,) + (1,) * (k - 1 - i))
+
+    log_z = k * (T - 1) * math.log(grid[1] - grid[0])
+    emats: dict[Hamiltonian, np.ndarray] = {}
+    # column 1; the bottom bond 0 has a constant argument at the entrance column
+    alpha = np.full((1,) + (m,) * k, weight(0, g[1] - x[-1]))
+    for i in range(k):
+        above = f[0] if i == 0 else x[i - 1]
+        alpha *= on_axis(density(grid - x[i]) * weight(0, grid - above), i)
+    for j in range(1, T):  # rescale column j, then carry it to column j + 1 through bond j
+        peak = alpha.max()
+        log_z += checked_log(peak)
+        alpha /= peak
+        if j == T - 1:
+            break
+        h = spec.interaction.bond(spec.a + j)
+        if k > 1 and h not in emats:
+            emats[h] = weight(j, grid[None, :] - grid[:, None])
+        alpha = alpha * on_axis(weight(j, g[j + 1] - grid), k - 1)
+        for i in range(k - 1, -1, -1):
+            alpha = _contract(alpha, gmat, i)
+            alpha *= _on_axes(emats[h], i - 1, k) if i else on_axis(weight(j, grid - f[j]), 0)
+    # exit column T, pinned at y, through bond T - 1
+    total = alpha[0]
+    for i in range(k - 1, -1, -1):
+        below = y[i + 1] if i < k - 1 else g[T]
+        total = total @ (density(y[i] - grid) * weight(T - 1, below - grid))
+    return log_z + checked_log(float(total) * float(weight(T - 1, y[0] - f[T - 1])))
 
 
 def _interp_rows(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -1,17 +1,17 @@
 """Gibbs measures on interacting bridge ensembles: the Boltzmann reweighting
 of independent random-walk bridges by nearest-neighbor interaction penalties.
 
-The normalizing constant of the reweighting (the acceptance probability)
-doubles as the accept rate of the exact rejection sampler; a single-site
-Gibbs sweep sampler provides an independent route to the same law, and the
-resampling-invariance check probes the defining conditional property.
+The normalizing constant of the reweighting (the acceptance probability,
+computed exactly by a transfer sweep) doubles as the accept rate of the exact
+rejection sampler; a single-site Gibbs sweep sampler provides an independent
+route to the same law, and the resampling-invariance check probes the
+defining conditional property.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "EnsembleSpec",
     "boltzmann_weight",
     "log_boltzmann_weight",
-    "AcceptanceEstimate",
     "acceptance_probability",
     "sample_ensemble_rejection",
     "sample_ensembles_rejection",
@@ -255,37 +254,21 @@ def _free_bridge_batch(
     return out
 
 
-class AcceptanceEstimate(NamedTuple):
-    estimate: float
-    std_error: float
-    n_mc: int
+def acceptance_probability(spec: EnsembleSpec, m: int | None = None) -> float:
+    """The acceptance probability Z in (0, 1]: the mean Boltzmann weight of
+    independent free bridges, exp(log Z_H - log Z_0).
 
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "std_error": self.std_error, "n_mc": self.n_mc}
-
-
-def acceptance_probability(
-    spec: EnsembleSpec, n_mc: int, rng: np.random.Generator, m: int = SAMPLER_GRID_M
-) -> AcceptanceEstimate:
-    """Monte Carlo estimate of the acceptance probability Z in (0, 1].
-
-    Z is the mean Boltzmann weight over independent free-bridge ensembles;
-    with every bond switched off the weight is identically 1 and the standard
-    error is exactly 0.
+    Both partition functions come from ``coupling.log_partition`` on the same
+    m-point grid (default ``coupling.DEFAULT_COUPLING_GRID_M``), Z_0 with every
+    bond switched off, so a zero interaction gives exactly 1.0.  Raises
+    ``ResourceLimitError`` when the sweep would hold more than
+    ``coupling.MAX_SWEEP_STATES`` joint grid states (m^k).
     """
-    if n_mc < 100:
-        raise ValueError("n_mc must be >= 100")
-    u = rng.uniform(size=(spec.n_curves, spec.b - spec.a - 1, n_mc))
-    curves = _free_bridge_batch(spec.hrw, spec.a, spec.b, spec.x_vec, spec.y_vec, u, m)
-    logw = _log_weight_batch(
-        spec.interaction, spec.a, spec.b, curves,
-        np.asarray(spec.f, dtype=float), np.asarray(spec.g, dtype=float),
-    )
-    with np.errstate(under="ignore"):
-        w = np.exp(logw)
-    est = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(n_mc))
-    return AcceptanceEstimate(estimate=est, std_error=se, n_mc=n_mc)
+    from .coupling import DEFAULT_COUPLING_GRID_M, log_partition
+
+    m = DEFAULT_COUPLING_GRID_M if m is None else m
+    free = replace(spec, interaction=InteractionSpec.zero(spec.a, spec.b))
+    return math.exp(log_partition(spec, m) - log_partition(free, m))
 
 
 def sample_ensembles_rejection(

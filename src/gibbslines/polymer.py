@@ -81,8 +81,8 @@ def sample_weight_field(theta: float, n_max: int, n_rows: int, seed) -> WeightFi
     Inverse-gamma variates are generated as reciprocals of Gamma(theta, 1)
     draws (an exact change of variables).
     """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not (theta > 0.0 and np.isfinite(theta)):  # nan compares False
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
     if n_max < 1 or n_rows < 1:
         raise ValueError("field dimensions must be >= 1")
     rng = np.random.default_rng(seed)

@@ -151,16 +151,16 @@ def gap_and_acceptance_diagnostics(
     N: int,
     r: float,
     k: int,
-    n_mc: int,
-    rng: np.random.Generator,
     hrw=None,
+    m: int | None = None,
 ) -> StatReport:
     """Edge-gap and acceptance-probability diagnostics over the centered window.
 
     Reports the smallest gap between consecutive curves among the k+1 present
-    at the window edges s+- = floor(+-r N^(2/3)), and the Monte Carlo
-    acceptance probability of curves 1..k with boundary data read from the
-    ensemble (the curve below the window acts as the bottom boundary).
+    at the window edges s+- = floor(+-r N^(2/3)), and the exact acceptance
+    probability of curves 1..k with boundary data read from the ensemble (the
+    curve below the window acts as the bottom boundary), from a transfer
+    sweep on an m-point grid (``gibbs.acceptance_probability``).
     """
     from .bridge import HrwSpec
     from .gibbs import acceptance_probability, window_spec_from_ensemble
@@ -179,10 +179,9 @@ def gap_and_acceptance_diagnostics(
         for s in (s_minus, s_plus):
             gaps.append(ensemble.value(i, s) - ensemble.value(i + 1, s))
     spec = window_spec_from_ensemble(ensemble, k, s_minus, s_plus, hrw)
-    acc = acceptance_probability(spec, n_mc, rng)
-    report = StatReport(meta={"s_minus": s_minus, "s_plus": s_plus, "k": k, "n_mc": n_mc})
+    report = StatReport(meta={"s_minus": s_minus, "s_plus": s_plus, "k": k})
     report.add("min_gap", float(min(gaps)))
-    report.add("acceptance", acc.estimate, acc.std_error)
+    report.add("acceptance", acceptance_probability(spec, m))
     return report
 
 

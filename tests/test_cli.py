@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gibbslines
-from gibbslines import bridge, cli, gibbs
+from gibbslines import bridge, cli, coupling, gibbs
 
 
 def run(argv):
@@ -34,11 +34,11 @@ JOBS = {
         ),
     ),
     "rejection": (
-        ["ensemble", "--k", "2", "--t", "5", "--n-mc", "100"],
+        ["ensemble", "--k", "2", "--t", "5"],
         lambda rng: gibbs.sample_ensemble_rejection(ladder(2, 5), rng)[0].curves,
     ),
     "mcmc": (
-        ["ensemble", "--k", "2", "--t", "5", "--n-mc", "100", "--sweeps", "3"],
+        ["ensemble", "--k", "2", "--t", "5", "--sweeps", "3"],
         lambda rng: gibbs.sample_ensemble_mcmc(ladder(2, 5), 3, rng).curves,
     ),
 }
@@ -177,18 +177,27 @@ class TestSubcommands:
             "--interaction", "zero", "--out", str(out),
         ]) == 0
         doc = json.loads((tmp_path / "ens.json").read_text())
-        assert doc["acceptance"]["estimate"] == 1.0
-        assert doc["acceptance"]["std_error"] == 0.0
-        assert doc["acceptance"]["attempts"] == 4
+        assert doc["acceptance"] == {"estimate": 1.0, "grid_m": 256, "attempts": 4}
 
     def test_grid_reaches_acceptance_estimate(self, tmp_path):
-        out = tmp_path / "grid"
-        assert run(JOBS["rejection"][0] + ["--samples", "2", "--seed", "6", "--grid", "256",
-                                           "--out", str(out)]) == 0
-        doc = json.loads((tmp_path / "grid.json").read_text())
-        acc = gibbs.acceptance_probability(ladder(2, 5), 100, cli._task_rng(6, 2**40), m=256)
-        assert doc["acceptance"]["estimate"] == acc.estimate
-        assert doc["acceptance"]["std_error"] == acc.std_error
+        for grid, rest in ((None, []), (512, ["--grid", "512"])):
+            out = tmp_path / f"grid{grid}"
+            assert run(JOBS["rejection"][0] + ["--samples", "2", "--seed", "6", *rest,
+                                               "--out", str(out)]) == 0
+            acc = json.loads((tmp_path / f"grid{grid}.json").read_text())["acceptance"]
+            m = grid or coupling.DEFAULT_COUPLING_GRID_M
+            assert acc["grid_m"] == m
+            assert acc["estimate"] == gibbs.acceptance_probability(ladder(2, 5), m)
+            assert set(acc) == {"estimate", "grid_m", "attempts"}
+
+    def test_acceptance_state_cap_exits_4(self, tmp_path):
+        # three curves on the default grid need 256^3 joint states
+        out = tmp_path / "cap"
+        assert run(["ensemble", "--k", "3", "--t", "4", "--samples", "2",
+                    "--out", str(out)]) == 4
+        assert not (tmp_path / "cap.json").exists()
+        assert run(["ensemble", "--k", "3", "--t", "4", "--samples", "2", "--grid", "128",
+                    "--out", str(out)]) == 0
 
     def test_couple_equal_boundaries_zero_violations(self, tmp_path):
         out = tmp_path / "cpl"

@@ -401,6 +401,53 @@ class TestBondMatrices:
         assert np.array_equal(eng._emat(2), eng._w(2, eng.grid[None, :] - eng.grid[:, None]))
 
 
+def _ladder(k, T, interaction, hrw=HRW, f=None, g=None):
+    x = [-1.5 * i for i in range(k)]
+    y = [0.5 - 1.5 * i for i in range(k)]
+    return gb.EnsembleSpec.make(1, k, 0, T, x, y, hrw, interaction, f=f, g=g)
+
+
+class TestLogPartition:
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    def test_free_gaussian_bridges(self, T):
+        # the T-step Gaussian increment is N(0, T): Z_0 in closed form
+        spec = _ladder(2, T, gb.InteractionSpec.zero(0, T), hrw=HrwSpec.gaussian_test())
+        d = np.asarray(spec.y_vec) - np.asarray(spec.x_vec)
+        exact = float(np.sum(-d**2 / (2.0 * T) - 0.5 * np.log(2.0 * np.pi * T)))
+        assert cp.log_partition(spec) == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("k,m", [(2, 256), (3, 64)])
+    def test_joint_sweep_with_idle_bonds_is_independent_curves(self, k, m):
+        # a tabulated H vanishing left of 1e3 is never switched on, but it is
+        # not "zero", so this sweep runs over the joint state
+        T = 6
+        idle = gb.Hamiltonian("tabulated", table_x=(1e3, 1e3 + 1.0, 1e3 + 2.0),
+                              table_values=(0.0, 1.0, 3.0))
+        joint = _ladder(k, T, gb.InteractionSpec(0, T, (idle,) * T))
+        free = _ladder(k, T, gb.InteractionSpec.zero(0, T))
+        assert cp.log_partition(joint, m) == pytest.approx(cp.log_partition(free, m), rel=1e-12)
+
+    def test_top_boundary_mirrors_bottom_boundary(self):
+        # negating the heights, reversing time and turning the rows upside
+        # down maps the bond L_{i+1}(t+1) - L_i(t) to itself and the
+        # increment law to itself: a top curve f becomes a bottom curve -f
+        T = 6
+        f = [1.0, 1.4, 0.9, 1.6, 1.2, 1.1, 1.3]
+        spec = _ladder(2, T, gb.InteractionSpec.exp(0, T), f=f)
+        mirror = gb.EnsembleSpec.make(
+            1, 2, 0, T, [-v for v in spec.y_vec[::-1]], [-v for v in spec.x_vec[::-1]],
+            HRW, gb.InteractionSpec.exp(0, T), g=[-v for v in f[::-1]],
+        )
+        assert cp.log_partition(spec) == pytest.approx(cp.log_partition(mirror), rel=1e-10)
+        assert gb.acceptance_probability(spec) == pytest.approx(
+            gb.acceptance_probability(mirror), rel=1e-10
+        )
+
+    def test_grid_needs_two_points(self):
+        with pytest.raises(ValueError):
+            cp.log_partition(_ladder(1, 3, gb.InteractionSpec.exp(0, 3)), 1)
+
+
 class TestMonotonicity:
     def test_identical_boundaries_identical_output(self):
         b = cp.BoundaryTriple([1.0, -0.5], [1.5, 0.0], [-2.0] * 6)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from acceptance_oracle import mc_acceptance
 from conftest import reference_sequential_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslines import coupling as cp
 from gibbslines import gibbs as gb
-from gibbslines.bridge import HrwSpec, _conditional_grid, _step_density_cached
+from gibbslines import polymer as pm
+from gibbslines.bridge import HrwSpec, _conditional_grid
 from gibbslines.ensembles import DiscreteLineEnsemble
-from gibbslines.errors import PrecisionError
+from gibbslines.errors import PrecisionError, ResourceLimitError
 from gibbslines.grids import inverse_cdf_rows
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
@@ -159,47 +162,82 @@ class TestBoltzmannWeight:
         assert gb.boltzmann_weight(spec_hi, curves) <= gb.boltzmann_weight(spec_lo, curves)
 
 
+def polymer_window_spec():
+    """Curve 1 of a two-curve polymer line ensemble at N = 32 over the window
+    [-10, 10] = [floor(-N^(2/3)), floor(N^(2/3))], curve 2 as the bottom."""
+    ens = pm.polymer_line_ensemble(1.0, 32, 2, seed=3)
+    return gb.window_spec_from_ensemble(ens, 1, -10, 10, HRW)
+
+
+ORACLE_SPECS = {
+    "ladder-spread-2": lambda: ladder_spec(2, 8, gb.InteractionSpec.exp(0, 8)),
+    "ladder-spread-0.5": lambda: ladder_spec(2, 8, gb.InteractionSpec.exp(0, 8), spread=0.5),
+    "bottom-at--2": lambda: ladder_spec(1, 5, gb.InteractionSpec.exp(0, 5), g=[-2.0] * 6),
+    "bottom-at--0.7": lambda: ladder_spec(1, 5, gb.InteractionSpec.exp(0, 5), g=[-0.7] * 6),
+    "polymer-window-N32": polymer_window_spec,
+}
+
+
 class TestAcceptanceProbability:
     def test_zero_interaction_exact(self):
-        spec = ladder_spec(2, 5, gb.InteractionSpec.zero(0, 5))
-        acc = gb.acceptance_probability(spec, 300, np.random.default_rng(0))
-        assert acc.estimate == 1.0
-        assert acc.std_error == 0.0
+        # k = 3 would need 256^3 joint states, past the cap: switched-off
+        # bonds decouple the curves, so each is swept on its own
+        for k, g in ((2, None), (1, [-0.5] * 6), (3, None)):
+            spec = ladder_spec(k, 5, gb.InteractionSpec.zero(0, 5), g=g)
+            assert gb.acceptance_probability(spec) == 1.0
 
     def test_in_unit_interval(self):
         spec = ladder_spec(2, 5, gb.InteractionSpec.exp(0, 5), spread=1.0)
-        acc = gb.acceptance_probability(spec, 500, np.random.default_rng(1))
-        assert 0.0 < acc.estimate <= 1.0
+        assert 0.0 < gb.acceptance_probability(spec) <= 1.0
 
     def test_against_quadrature(self):
         # one interior point: Z by 1-d quadrature over the bridge marginal
         spec = gb.EnsembleSpec.make(
             1, 1, 0, 2, [0.0], [1.0], HRW, gb.InteractionSpec.exp(0, 2), g=[-1.0, -1.0, -1.0]
         )
-        acc = gb.acceptance_probability(spec, 20000, np.random.default_rng(2))
-        g1 = _step_density_cached(HRW, 1, 4096)
         u = np.linspace(-9.0, 10.0, 120001)
-        logb = g1.log_pdf(u) + g1.log_pdf(1.0 - u)
+        logb = HRW.log_g(u) + HRW.log_g(1.0 - u)
         b = np.exp(logb - logb.max())
         b /= np.trapezoid(b, u)
         w = math.exp(-math.exp(-1.0 - 0.0)) * np.trapezoid(b * np.exp(-np.exp(-1.0 - u)), u)
-        assert abs(acc.estimate - w) < 3.0 * acc.std_error + 1e-4
+        assert gb.acceptance_probability(spec) == pytest.approx(w, rel=1e-10)
+
+    def test_no_interior_point_is_endpoint_weight(self):
+        spec = ladder_spec(3, 1, gb.InteractionSpec.exp(0, 1), spread=0.5, g=[-1.0, -0.5])
+        x = np.asarray(spec.x_vec)
+        weight = gb.boltzmann_weight(spec, np.stack([x, x], axis=1))
+        assert gb.acceptance_probability(spec) == pytest.approx(weight, rel=1e-14)
 
     @pytest.mark.parametrize("k,T", [(1, 1), (2, 2), (3, 5)])
     def test_single_generator_matches_reference(self, k, T):
+        # the Monte Carlo oracle reads the free bridges of reference_free_bridges
         spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0)
-        acc = gb.acceptance_probability(spec, 150, np.random.default_rng(13), m=256)
+        est, _ = mc_acceptance(spec, 150, np.random.default_rng(13), m=256)
         curves = reference_free_bridges(spec, 150, np.random.default_rng(13), 256)
         logw = gb._log_weight_batch(
             spec.interaction, spec.a, spec.b, curves,
             np.asarray(spec.f, dtype=float), np.asarray(spec.g, dtype=float),
         )
-        assert acc.estimate == float(np.exp(logw).mean())
+        assert est == float(np.exp(logw).mean())
 
-    def test_n_mc_floor(self):
-        spec = ladder_spec(1, 3, gb.InteractionSpec.zero(0, 3))
-        with pytest.raises(ValueError):
-            gb.acceptance_probability(spec, 50, np.random.default_rng(0))
+    @pytest.mark.parametrize("name", ORACLE_SPECS)
+    def test_within_4_se_of_monte_carlo(self, name):
+        spec = ORACLE_SPECS[name]()
+        est, se = mc_acceptance(spec, 10**5, np.random.default_rng(0), m=256)
+        assert abs(gb.acceptance_probability(spec) - est) < 4.0 * se
+
+    @pytest.mark.parametrize("T", [8, 20])
+    def test_grid_refinement(self, T):
+        spec = ladder_spec(2, T, gb.InteractionSpec.exp(0, T))
+        coarse = gb.acceptance_probability(spec, 256)
+        assert coarse == pytest.approx(gb.acceptance_probability(spec, 512), rel=1e-5)
+
+    def test_state_limit(self):
+        spec = ladder_spec(3, 2, gb.InteractionSpec.exp(0, 2))
+        assert 128**3 == cp.MAX_SWEEP_STATES
+        assert 0.0 < gb.acceptance_probability(spec, 128) <= 1.0
+        with pytest.raises(ResourceLimitError):
+            gb.acceptance_probability(spec, 256)
 
 
 class TestRejectionSampler:
@@ -243,12 +281,11 @@ class TestRejectionSampler:
 
     def test_rate_matches_acceptance_probability(self):
         spec = ladder_spec(2, 6, gb.InteractionSpec.exp(0, 6))
-        rng = np.random.default_rng(5)
-        acc = gb.acceptance_probability(spec, 4000, rng)
-        _, attempts = gb.sample_ensembles_rejection(spec, 2000, rng)
+        z = gb.acceptance_probability(spec)
+        _, attempts = gb.sample_ensembles_rejection(spec, 2000, np.random.default_rng(5))
         rate = 2000 / attempts
-        se = math.sqrt(acc.estimate * (1 - acc.estimate) / attempts)
-        assert abs(rate - acc.estimate) < 3.0 * (se + acc.std_error)
+        se = math.sqrt(z * (1 - z) / attempts)
+        assert abs(rate - z) < 3.0 * se
 
     def test_marginal_vs_mcmc(self):
         spec = ladder_spec(2, 6, gb.InteractionSpec.exp(0, 6))
@@ -317,13 +354,10 @@ class TestMcmcSampler:
         assert np.all(mc[:, 1, 0] == -2.0)
 
     def test_raising_g_lowers_acceptance(self):
-        # common random numbers make the domination pathwise
         T = 4
         spec_lo = ladder_spec(1, T, gb.InteractionSpec.exp(0, T), g=[-2.0] * (T + 1))
         spec_hi = ladder_spec(1, T, gb.InteractionSpec.exp(0, T), g=[-0.5] * (T + 1))
-        a_lo = gb.acceptance_probability(spec_lo, 4000, np.random.default_rng(10))
-        a_hi = gb.acceptance_probability(spec_hi, 4000, np.random.default_rng(10))
-        assert a_hi.estimate <= a_lo.estimate
+        assert gb.acceptance_probability(spec_hi) < gb.acceptance_probability(spec_lo)
 
 
 class TestGibbsInvariance:

@@ -50,6 +50,16 @@ class TestWeightField:
         with pytest.raises(ValueError):
             pm.sample_weight_field(1.0, 0, 3, seed=0)
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
+    def test_reject_bad_theta(self, theta):
+        # nan and inf used to pass `theta <= 0` and fail later without naming theta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
+                pm.sample_weight_field(theta, 3, 3, seed=0)
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
+                pm.polymer_line_ensemble(theta, 4, 2, seed=0)
+
 
 class TestSinglePath:
     def test_all_ones_two_paths(self):

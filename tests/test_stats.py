@@ -166,9 +166,7 @@ class TestGapAndAcceptance:
         j = np.arange(-N, N + 1, dtype=float)
         curves = np.vstack([consts.p * j + 8.0, consts.p * j - 8.0])
         ens = DiscreteLineEnsemble(curves, -N, N)
-        rep = st_mod.gap_and_acceptance_diagnostics(
-            ens, consts, N, 1.0, 1, 500, np.random.default_rng(0)
-        )
+        rep = st_mod.gap_and_acceptance_diagnostics(ens, consts, N, 1.0, 1)
         assert rep["min_gap"][0] == pytest.approx(16.0, rel=1e-12)
         z, se = rep["acceptance"]
         assert z > 0.95  # huge gap: nearly free bridges
@@ -178,25 +176,19 @@ class TestGapAndAcceptance:
         j = np.arange(-N, N + 1, dtype=float)
         curves = np.vstack([consts.p * j, consts.p * j])
         ens = DiscreteLineEnsemble(curves, -N, N)
-        rep = st_mod.gap_and_acceptance_diagnostics(
-            ens, consts, N, 1.0, 1, 500, np.random.default_rng(1)
-        )
+        rep = st_mod.gap_and_acceptance_diagnostics(ens, consts, N, 1.0, 1)
         assert rep["min_gap"][0] == 0.0
 
     def test_z_in_unit_interval(self, consts):
         N = 4
         ens = pm.polymer_line_ensemble(1.0, N, 2, seed=6)
-        rep = st_mod.gap_and_acceptance_diagnostics(
-            ens, consts, N, 1.0, 1, 500, np.random.default_rng(2)
-        )
+        rep = st_mod.gap_and_acceptance_diagnostics(ens, consts, N, 1.0, 1)
         assert 0.0 < rep["acceptance"][0] <= 1.0
 
     def test_needs_k_plus_one_curves(self, consts):
         ens = pm.polymer_line_ensemble(1.0, 4, 1, seed=7)
         with pytest.raises(ValueError):
-            st_mod.gap_and_acceptance_diagnostics(
-                ens, consts, 4, 1.0, 1, 500, np.random.default_rng(0)
-            )
+            st_mod.gap_and_acceptance_diagnostics(ens, consts, 4, 1.0, 1)
 
 
 def dense_gue_edge(M, n_samples, rng):
