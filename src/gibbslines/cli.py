@@ -222,6 +222,8 @@ def run_ensemble(cfg: RunConfig) -> list[str]:
 # ----------------------------------------------------------------- couple --
 
 def run_couple(cfg: RunConfig) -> list[str]:
+    if not cfg.raise_by >= 0.0:  # as monotonicity_check, refuse boundary data that are not ordered
+        raise ValueError(f"raise_by must be >= 0, got {cfg.raise_by}")
     k, T = cfg.k, cfg.t
     x = [-cfg.spread * i for i in range(k)]
     b_low = coupling_mod.BoundaryTriple(x, x, [-cfg.spread * k] * T)

@@ -40,6 +40,8 @@ __all__ = [
 
 DEFAULT_COUPLING_GRID_M = 256
 MAX_SWEEP_STATES = 2**21  # joint grid states m^k of one partition sweep (16 MB per array)
+TINY = 1e-150  # operand entries below TINY times their peak are zeroed: products stay normal
+BLOCK_ROWS = 4  # rows per gemm of a vector x matrix product: the fastest of 2-32 at m = 256
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,49 @@ def _padded_range(vals, T: int, hrw: HrwSpec, pad_sigmas: float = 8.0) -> tuple[
     return float(vals.min() - pad), float(vals.max() + pad)
 
 
+def _flush(x: np.ndarray) -> np.ndarray:
+    """Zero in place the entries of ``x`` below ``TINY`` times their draw's
+    peak (leading axis), and return ``x``.  A product of two flushed operands
+    then never forms a subnormal number, which costs the arithmetic a slow
+    path; a dropped term is below 1e-147 of the product's peak.  Flushing
+    twice changes nothing."""
+    peak = x.reshape(x.shape[0], -1).max(axis=1)
+    np.copyto(x, 0.0, where=x < TINY * peak.reshape((-1,) + (1,) * (x.ndim - 1)))
+    return x
+
+
+def _increment_matrix(hrw: HrwSpec, grid: np.ndarray) -> np.ndarray:
+    """gmat[a, b] = G(grid_b - grid_a), flushed below ``TINY`` of its peak."""
+    with np.errstate(under="ignore"):
+        return _flush(np.exp(hrw.log_g(grid[None, :] - grid[:, None]))[None])[0]
+
+
+def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows (n, K) @ mat (K, N) as gemms of ``BLOCK_ROWS`` rows, the last block
+    padded with zero rows.  Every call has the same shape whatever n, so a
+    row's result does not depend on the rows beside it (a stacked
+    (n, 1, K) @ (K, N) would be n gemv calls; one (n, K) gemm would change its
+    blocking with n)."""
+    n, size = rows.shape
+    padded = np.zeros((-(-n // BLOCK_ROWS) * BLOCK_ROWS, size))
+    padded[:n] = rows
+    return (padded.reshape(-1, BLOCK_ROWS, size) @ mat).reshape(padded.shape[0], -1)[:n]
+
+
 def _contract(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     """out[.., A, ..] = sum_a x[.., a, ..] mat[a, A] over grid axis ``axis``
-    of a stack of grid functions (draws first).
+    of a stack of grid functions (draws first).  ``x`` is flushed in place:
+    callers pass temporaries, or transfer functions ``_rescaled`` flushed.
 
-    Every product is a per-draw ``matmul`` of the same shape, so a draw's
-    result does not depend on which other draws share its stack (one flat
-    gemm over all draws would change the summation blocking with the stack
-    size).
+    A stack with one grid axis is a ``_row_products`` call; on more axes every
+    product is a per-draw ``matmul`` of the same shape.  Either way a draw's
+    result does not depend on which other draws share its stack.
     """
+    x = _flush(x)
     n_draws, dims = x.shape[0], x.shape[1:]
     m = dims[axis]
+    if len(dims) == 1:
+        return _row_products(x, mat)
     if axis == len(dims) - 1:
         return (x.reshape(n_draws, -1, m) @ mat).reshape(x.shape)
     lead = int(np.prod(dims[:axis]))
@@ -147,8 +181,7 @@ def log_partition(spec: EnsembleSpec, m: int = DEFAULT_COUPLING_GRID_M) -> float
         raise ValueError("grid resolution must be >= 2")
     T = spec.b - spec.a
     grid = np.linspace(*_padded_range(spec.x_vec + spec.y_vec + spec.f + spec.g, T, spec.hrw), m)
-    with np.errstate(under="ignore"):
-        gmat = np.exp(spec.hrw.log_g(grid[None, :] - grid[:, None]))  # G(grid_b - grid_a)
+    gmat = _increment_matrix(spec.hrw, grid)
     rows = range(spec.n_curves)
     if all(spec.interaction.bond(j).kind == "zero" for j in range(spec.a, spec.b)):
         return float(sum(_log_sweep(spec, grid, gmat, [i]) for i in rows))
@@ -268,8 +301,7 @@ class GrandCouplingEngine:
         self.lo, self.hi = window
         self.m = m
         self.grid = np.linspace(self.lo, self.hi, m)
-        # gmat[a, b] = G(grid_b - grid_a)
-        self.gmat = self._g(self.grid[None, :] - self.grid[:, None])
+        self.gmat = _increment_matrix(hrw, self.grid)
         self._emats: dict[Hamiltonian, np.ndarray] = {}  # one matrix per distinct H_j
         self._bottom_alphas: list[np.ndarray] | None = None
 
@@ -293,11 +325,12 @@ class GrandCouplingEngine:
 
     @staticmethod
     def _rescaled(arr: np.ndarray) -> np.ndarray:
-        """Divide each draw's grid function by its own peak."""
+        """Divide each draw's grid function by its own peak and flush it below
+        ``TINY``: the stored transfer functions enter products as they are."""
         peak = arr.reshape(arr.shape[0], -1).max(axis=1)
         if not np.all(peak > 0.0):
             raise PrecisionError("transfer function underflowed to zero mass")
-        return arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1))
+        return _flush(arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1)))
 
     # -- forward transfer functions ---------------------------------------
     def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
@@ -353,12 +386,12 @@ class GrandCouplingEngine:
 
     # -- site conditionals --------------------------------------------------
     def _site_values(
-        self, p2: int, alpha, beta, s_right: np.ndarray, below_right: np.ndarray
+        self, p1: int, p2: int, alpha, beta, s_right: np.ndarray, below_right: np.ndarray
     ) -> np.ndarray:
         """Unnormalized conditional densities (draws x m) of the point
         (p1, p2) on the grid, peak 1 per draw.
 
-        ``alpha``  -- alpha_{p2} of row p1
+        ``alpha``  -- alpha_{p2} of row p1 (shared by every draw for p1 = k)
         ``beta``   -- backward function at column p2 (None for p1 = 1)
         ``s_right``  -- values of row p1 at column p2+1 (exit value if p2 = n)
         ``below_right`` -- values of row p1+1 at column p2+1 (bottom curve for
@@ -370,8 +403,12 @@ class GrandCouplingEngine:
             vals = alpha * u
         else:
             size = beta[0].size
-            joint = beta.reshape(beta.shape[0], 1, size) @ alpha.reshape(alpha.shape[0], size, -1)
-            vals = joint[:, 0] * u
+            rows = beta.reshape(beta.shape[0], size)
+            if p1 == self.k:
+                joint = _row_products(rows, alpha.reshape(size, -1))
+            else:
+                joint = (rows[:, None] @ alpha.reshape(alpha.shape[0], size, -1))[:, 0]
+            vals = joint * u
         peak = vals.max(axis=1)
         if not np.all(peak > 0.0):
             raise PrecisionError("site conditional underflowed on the grid")
@@ -421,7 +458,7 @@ class GrandCouplingEngine:
             below, alphas, beta = self._row_start(p1, vals)
             for p2 in range(n, 0, -1):
                 dens = self._site_values(
-                    p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
+                    p1, p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
                 )
                 cdf = trapezoid_cdf(dens, 1.0)
                 cdf /= cdf[:, -1:]

@@ -209,6 +209,16 @@ class TestSubcommands:
         assert doc["max_violation"] == 0.0
         assert set(doc).issuperset({"max_violation", "n_draws", "grid_m", "eps_grid"})
 
+    @pytest.mark.parametrize("raise_by", ["-0.5", "nan"])
+    def test_couple_unordered_boundaries_exit_2(self, tmp_path, raise_by):
+        # a lowered boundary pair is not ordered: no violation count can be read off it
+        out = tmp_path / "low"
+        assert run(["couple", "--k", "2", "--t", "4", "--samples", "2",
+                    "--raise-by", raise_by, "--out", str(out)]) == 2
+        assert not (tmp_path / "low.json").exists()
+        assert run(["couple", "--k", "2", "--t", "4", "--samples", "2",
+                    "--raise-by", "0", "--out", str(out)]) == 0
+
     def test_stats_round_trip(self, tmp_path):
         out = tmp_path / "poly"
         assert run([

@@ -64,7 +64,7 @@ def conditional_density(
     if beta is not None:
         for j in range(eng.n, p2, -1):
             beta = eng._beta_step(beta, j - 1, vals[:, p1 - 1, j])
-    dens = eng._site_values(p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1])
+    dens = eng._site_values(p1, p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1])
     return GridDensity(lo=eng.lo, hi=eng.hi, values=dens[0]).normalized()
 
 
@@ -346,14 +346,30 @@ class TestBatchedSample:
         assert np.array_equal(eng.sample(omega[0]), batched[0])
 
     def test_draw_independent_of_batch(self):
-        T = 6
-        eng = cp.GrandCouplingEngine(cp.BoundaryTriple([1.0, -0.5], [1.5, 0.0], [-2.0] * T), T, HRW)
-        omega = np.random.default_rng(11).uniform(size=(9, 2 * (T - 2)))
+        # vector x matrix products run in blocks of BLOCK_ROWS rows: batch
+        # sizes around one block, and past the m = 256 chunk of draws
+        T, P = 16, cp.BLOCK_ROWS
+        b = cp.BoundaryTriple([0.0, -2.0], [0.0, -2.0], [-4.0] * T)
+        eng = cp.GrandCouplingEngine(b, T, HRW)
+        omega = np.random.default_rng(11).uniform(size=(300, 2 * (T - 2)))
         full = eng.sample(omega)
-        assert np.array_equal(eng.sample(omega[2:7]), full[2:7])
-        assert np.array_equal(eng.sample(omega[::-1]), full[::-1])
         assert np.array_equal(np.array([eng.sample(om) for om in omega]), full)
-        assert np.array_equal(np.array([eng.sample(om[None])[0] for om in omega]), full)
+        assert np.array_equal(np.array([eng.sample(om[None])[0] for om in omega[:P]]), full[:P])
+        for size in (1, P - 1, P, P + 1, 2 * P + 3, 300):
+            start = min(7, 300 - size)
+            part = slice(start, start + size)
+            assert np.array_equal(eng.sample(omega[part]), full[part])
+            assert np.array_equal(eng.sample(omega[part][::-1]), full[part][::-1])
+
+    @pytest.mark.parametrize("k,T", [(1, 6), (2, 16)])
+    def test_flush_changes_nothing(self, k, T, monkeypatch):
+        # operands flushed below TINY of their peak, or not flushed at all
+        b = cp.BoundaryTriple([-2.0 * i for i in range(k)], [0.5 - 2.0 * i for i in range(k)],
+                              [-2.0 * k] * T)
+        omega = np.random.default_rng(15).uniform(size=(20, k * (T - 2)))
+        flushed = cp.GrandCouplingEngine(b, T, HRW).sample(omega)
+        monkeypatch.setattr(cp, "TINY", 0.0)
+        assert np.max(np.abs(cp.GrandCouplingEngine(b, T, HRW).sample(omega) - flushed)) <= 1e-12
 
     def test_batch_larger_than_grid(self):
         # 300 draws at m = 256 are filled in two chunks

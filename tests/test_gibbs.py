@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from acceptance_oracle import mc_acceptance
+from acceptance_oracle import mc_acceptance, tilted_acceptance
 from conftest import reference_sequential_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,9 +222,25 @@ class TestAcceptanceProbability:
 
     @pytest.mark.parametrize("name", ORACLE_SPECS)
     def test_within_4_se_of_monte_carlo(self, name):
+        # 10^6 tilted free walks: at least as precise as 10^5 exact free bridges
         spec = ORACLE_SPECS[name]()
+        est, se, sd_w = tilted_acceptance(spec, 10**6, np.random.default_rng(0))
+        assert se <= sd_w / math.sqrt(10**5)
+        assert abs(gb.acceptance_probability(spec) - est) < 4.0 * se
+
+    def test_within_4_se_of_grid_sampler(self):
+        # the same check against free bridges drawn by the runtime's grid sampler
+        spec = ORACLE_SPECS["bottom-at--0.7"]()
         est, se = mc_acceptance(spec, 10**5, np.random.default_rng(0), m=256)
         assert abs(gb.acceptance_probability(spec) - est) < 4.0 * se
+
+    @pytest.mark.parametrize("name", ORACLE_SPECS)
+    def test_flush_changes_nothing(self, name, monkeypatch):
+        # operands flushed below TINY of their peak, or not flushed at all
+        spec = ORACLE_SPECS[name]()
+        flushed = cp.log_partition(spec)
+        monkeypatch.setattr(cp, "TINY", 0.0)
+        assert cp.log_partition(spec) == pytest.approx(flushed, rel=1e-14)
 
     @pytest.mark.parametrize("T", [8, 20])
     def test_grid_refinement(self, T):
