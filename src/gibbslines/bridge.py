@@ -244,6 +244,19 @@ def _step_density_cached(hrw: HrwSpec, n: int, m: int) -> GridDensity:
     return _step_densities(hrw, m).get(n)
 
 
+@lru_cache(maxsize=64)
+def _support(hrw: HrwSpec) -> tuple[float, float]:
+    """``hrw.support()`` at the default truncation, computed once per law."""
+    return hrw.support()
+
+
+@lru_cache(maxsize=16)
+def _unit_grid(m: int) -> np.ndarray:
+    t = np.linspace(0.0, 1.0, m)
+    t.flags.writeable = False
+    return t
+
+
 def _streams(rng, n_samples: int):
     """One Generator as is, or a sequence of ``n_samples`` per-sample Generators."""
     if isinstance(rng, np.random.Generator):
@@ -268,8 +281,9 @@ def _conditional_grid(lo1, hi1, lo2, hi2, m):
     hi = np.minimum(hi1, hi2)
     if np.any(hi <= lo):
         raise PrecisionError("conditional density support is empty on the grid")
-    t = np.linspace(0.0, 1.0, m)
-    return lo[:, None] + t[None, :] * (hi - lo)[:, None]
+    grids = _unit_grid(m)[None, :] * (hi - lo)[:, None]
+    grids += lo[:, None]
+    return grids
 
 
 def _draw_sites(grids: np.ndarray, log_pdf: np.ndarray, u: np.ndarray, error: str) -> np.ndarray:
@@ -299,12 +313,13 @@ def _sequential_paths(
     paths[:, T] = y
     if T == 1:
         return paths
-    s_lo, s_hi = hrw.support()
+    s_lo, s_hi = _support(hrw)
     prev = paths[:, 0]
     for j in range(1, T):
         g_rem = _step_density_cached(hrw, T - j, m)
         grids = _conditional_grid(prev + s_lo, prev + s_hi, y - g_rem.hi, y - g_rem.lo, m)
-        log_pdf = hrw.log_g(grids - prev[:, None]) + g_rem.log_pdf(y[:, None] - grids)
+        log_pdf = hrw.log_g(grids - prev[:, None])
+        log_pdf += g_rem.log_pdf(y[:, None] - grids)
         prev = _draw_sites(grids, log_pdf, u[j - 1], "sequential conditional underflowed")
         paths[:, j] = prev
     return paths

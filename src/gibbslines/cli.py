@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -299,6 +300,7 @@ def _emit(cfg: RunConfig, rows, header, summary: dict) -> list[str]:
     return written
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbslines",

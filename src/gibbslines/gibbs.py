@@ -21,6 +21,7 @@ from .bridge import (
     _conditional_grid,
     _draw_sites,
     _sequential_paths,
+    _support,
     _streams,
     _uniforms,
 )
@@ -239,19 +240,16 @@ def _free_bridge_batch(
     """Independent bridges for each curve: returns (S, k, T+1).
 
     ``x``/``y`` may be (k,) vectors shared by all samples or (S, k) arrays of
-    per-sample endpoints; ``u[i]`` of shape (T-1, S) drives curve i.
+    per-sample endpoints; ``u[i]`` of shape (T-1, S) drives curve i.  All k*S
+    rows go through one sequential pass, curve-major, so each site is one
+    kernel call.
     """
-    n_samples = u.shape[2]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (n_samples, x.size))
-        y = np.broadcast_to(y, (n_samples, y.size))
-    k = x.shape[1]
-    out = np.empty((n_samples, k, b - a + 1))
-    for i in range(k):
-        out[:, i, :] = _sequential_paths(hrw, b - a, x[:, i], y[:, i], u[i], m)
-    return out
+    k, n_steps, n_samples = u.shape
+    x = np.broadcast_to(np.asarray(x, dtype=float), (n_samples, k))
+    y = np.broadcast_to(np.asarray(y, dtype=float), (n_samples, k))
+    rows_u = u.transpose(1, 0, 2).reshape(n_steps, k * n_samples)
+    paths = _sequential_paths(hrw, b - a, x.T.ravel(), y.T.ravel(), rows_u, m)
+    return paths.reshape(k, n_samples, b - a + 1).transpose(1, 0, 2)
 
 
 def acceptance_probability(spec: EnsembleSpec, m: int | None = None) -> float:
@@ -344,14 +342,15 @@ def _mcmc_sweep(curves: np.ndarray, spec: EnsembleSpec, u: np.ndarray, m: int, s
             left = curves[:, i, t - 1]
             right = curves[:, i, t + 1]
             grids = _conditional_grid(left + s_lo, left + s_hi, right - s_hi, right - s_lo, m)
-            log_pdf = spec.hrw.log_g(grids - left[:, None]) + spec.hrw.log_g(
-                right[:, None] - grids
-            )
+            log_pdf = spec.hrw.log_g(grids - left[:, None])
+            log_pdf += spec.hrw.log_g(right[:, None] - grids)
             bond_l = spec.interaction.bond(spec.a + t - 1)
             bond_r = spec.interaction.bond(spec.a + t)
-            if bond_l.kind != "zero":  # a switched-off bond adds 0 everywhere
+            # a switched-off bond adds 0 everywhere, and so does a bond to f = +inf
+            # or g = -inf: H(-inf) = 0 for every kind, a term of -0.0
+            if bond_l.kind != "zero" and not (i == 0 and spec.f[t - 1] == math.inf):
                 log_pdf += bond_l.log_weight(grids - above[:, t - 1][:, None])
-            if bond_r.kind != "zero":
+            if bond_r.kind != "zero" and not (i == k - 1 and spec.g[t + 1] == -math.inf):
                 log_pdf += bond_r.log_weight(below[:, t + 1][:, None] - grids)
             curves[:, i, t] = _draw_sites(
                 grids, log_pdf, u[i, t - 1], "Gibbs full conditional underflowed on its grid"
@@ -390,7 +389,7 @@ def sample_ensembles_mcmc(
         y = np.asarray(spec.y_vec)[:, None]
         curves = np.broadcast_to(x + frac * (y - x), (n_chains, spec.n_curves, T + 1)).copy()
     k = spec.n_curves
-    support = spec.hrw.support()
+    support = _support(spec.hrw)
     for _ in range(sweeps):
         u = _uniforms(rng, k * (T - 1), range(n_chains)).reshape(k, T - 1, n_chains)
         _mcmc_sweep(curves, spec, u, m, support)

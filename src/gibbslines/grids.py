@@ -32,19 +32,28 @@ def inverse_cdf_rows(x_rows: np.ndarray, pdf_rows: np.ndarray, u: np.ndarray) ->
     """
     pdf_rows = np.atleast_2d(pdf_rows)
     x_rows = np.atleast_2d(x_rows)
+    n_rows, n = pdf_rows.shape
     step = x_rows[:, 1] - x_rows[:, 0]
-    cdf = trapezoid_cdf(pdf_rows, 1.0) * step[:, None]
+    # the trapezoid CDF on unit spacing, then scaled by each row's step
+    cdf = np.empty((n_rows, n))
+    cdf[:, 0] = 0.0
+    inner = np.add(pdf_rows[:, 1:], pdf_rows[:, :-1], out=cdf[:, 1:])
+    inner *= 0.5
+    np.cumsum(inner, axis=1, out=inner)
+    cdf *= step[:, None]
     total = cdf[:, -1]
-    if np.any(~np.isfinite(total)) or np.any(total <= 0.0):
+    if np.count_nonzero((total > 0.0) & (total < np.inf)) < n_rows:
         raise PrecisionError("conditional density has zero or non-finite mass on its grid")
     target = np.asarray(u) * total
-    k = np.clip((cdf < target[:, None]).sum(axis=1), 1, cdf.shape[1] - 1)
-    rows = np.arange(cdf.shape[0])
+    k = np.count_nonzero(cdf < target[:, None], axis=1)
+    np.maximum(k, 1, out=k)
+    np.minimum(k, n - 1, out=k)
+    rows = np.arange(n_rows)
     c_lo = cdf[rows, k - 1]
     c_hi = cdf[rows, k]
     frac = np.where(c_hi > c_lo, (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
-    x_lo = x_rows[np.minimum(rows, x_rows.shape[0] - 1), k - 1]
-    return x_lo + frac * step[np.minimum(rows, x_rows.shape[0] - 1)]
+    grid_rows = np.minimum(rows, x_rows.shape[0] - 1)
+    return x_rows[grid_rows, k - 1] + frac * step[grid_rows]
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,38 @@ class GridDensity:
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
     def log_pdf(self, x) -> np.ndarray:
+        """log of ``pdf``, -inf outside [lo, hi] and where the table is 0.
+
+        ``np.interp`` reads only the nodes that bracket a query, so the log
+        is taken of the slice of nodes spanning the queries (one node of
+        margin on each side against rounding of the index) and interpolated
+        there: the values equal those of interpolating the full log table.
+        """
+        x = np.asarray(x, dtype=float)
+        last = self.m - 1
+        i0, i1 = 0, last
+        if x.size:
+            with np.errstate(invalid="ignore", over="ignore"):
+                span = np.floor((np.array([x.min(), x.max()]) - self.lo) / self.step)
+            # a NaN bound fails both tests and keeps the full table
+            if span[0] > 1.0:
+                i0 = int(min(span[0] - 1.0, last))
+            if span[1] < last - 2.0:
+                i1 = int(max(span[1] + 2.0, 0.0))
+        nodes = self._nodes(i0, i1)
         with np.errstate(divide="ignore"):
-            logv = np.log(self.values)
-        return np.interp(x, self.x, logv, left=-np.inf, right=-np.inf)
+            logv = np.log(self.values[i0 : i1 + 1])
+        return np.interp(x, nodes, logv, left=-np.inf, right=-np.inf)
+
+    def _nodes(self, i0: int, i1: int) -> np.ndarray:
+        """``self.x[i0 : i1 + 1]`` with the arithmetic of ``np.linspace``
+        (node i is i * step + lo, the last node is hi exactly)."""
+        nodes = np.arange(i0, i1 + 1, dtype=float)
+        nodes *= self.step
+        nodes += self.lo
+        if i1 == self.m - 1:
+            nodes[-1] = self.hi
+        return nodes
 
     def cdf_values(self) -> np.ndarray:
         c = trapezoid_cdf(self.values, self.step)

@@ -19,7 +19,7 @@ from scipy.special import digamma
 from gibbslines import gibbs as gb
 from gibbslines.bridge import SAMPLER_GRID_M, HrwSpec
 
-CHUNK = 10_000  # draws per sampler call: bounds the (draws, m) site grids
+CHUNK = 10_000  # draws per sampler call: bounds the (k * draws, m) site grids
 WALK_CHUNK = 100_000  # tilted walks per batch: bounds the (draws, k, T+1) curves
 
 

@@ -244,6 +244,15 @@ class TestSubcommands:
         doc = json.loads((tmp_path / "br.json").read_text())
         assert doc["endpoint_exact"] is True
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "past about 200 steps a 0 -> 0 bridge is a large deviation for the drift "
+        "-digamma(1) per step: G_n(y - u) falls below the FFT noise of the n-step "
+        "table, the sampler draws from that noise and a site's support comes out "
+        "empty (exit 3); see ROADMAP"))
+    def test_long_bridge_runs(self, tmp_path):
+        assert run(["bridge", "--t", "300", "--samples", "8", "--seed", "0",
+                    "--out", str(tmp_path / "long")]) == 0
+
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples=5\nseed=8\nn=4\n")

@@ -19,9 +19,9 @@ from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 HRW = HrwSpec.log_gamma(1.0)
 
 
-def ladder_spec(k, T, interaction, spread=2.0, g=None):
+def ladder_spec(k, T, interaction, spread=2.0, g=None, f=None):
     x = [-spread * i for i in range(k)]
-    return gb.EnsembleSpec.make(1, k, 0, T, x, x, HRW, interaction, g=g)
+    return gb.EnsembleSpec.make(1, k, 0, T, x, x, HRW, interaction, f=f, g=g)
 
 
 def reference_free_bridges(spec, n, rng, m):
@@ -328,9 +328,9 @@ class TestMcmcSampler:
         d = ks_distance(EmpiricalCDF(mc[:, 0, 2]), EmpiricalCDF(free[:, 2]))
         assert d < ks_two_sample_critical(3000, 3000)
 
-    @pytest.mark.parametrize("k,T", [(1, 1), (1, 2), (2, 5), (3, 4)])
-    def test_single_generator_matches_reference(self, k, T):
-        spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0, g=[-4.0] * (T + 1))
+    @staticmethod
+    def assert_matches_reference(spec):
+        k, T = spec.n_curves, spec.b - spec.a
         got = gb.sample_ensembles_mcmc(spec, 20, 3, np.random.default_rng(15), m=256)
         rng = np.random.default_rng(15)
         frac = np.linspace(0.0, 1.0, T + 1)
@@ -341,6 +341,28 @@ class TestMcmcSampler:
         for _ in range(3):
             reference_mcmc_sweep_ensembles(want, spec, rng, 256, f, g)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k,T", [(1, 1), (1, 2), (2, 5), (3, 4)])
+    def test_single_generator_matches_reference(self, k, T):
+        spec = ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0, g=[-4.0] * (T + 1))
+        self.assert_matches_reference(spec)
+
+    # the sampler skips the bond to f = +inf and to g = -inf; the reference adds it
+    BOUNDARIES = {
+        "finite-f": lambda T: dict(f=[4.0] * (T + 1)),
+        "partly-infinite": lambda T: dict(
+            f=[math.inf if t % 2 else 3.0 for t in range(T + 1)],
+            g=[-math.inf if t % 3 else -5.0 for t in range(T + 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("k,T", [(1, 2), (2, 5), (3, 4)])
+    def test_single_generator_matches_reference_at_boundaries(self, k, T, boundary):
+        bounds = self.BOUNDARIES[boundary](T)
+        self.assert_matches_reference(
+            ladder_spec(k, T, gb.InteractionSpec.exp(0, T), spread=1.0, **bounds)
+        )
 
     def test_per_sample_generators_match_one_sample_draws(self):
         spec = ladder_spec(2, 5, gb.InteractionSpec.exp(0, 5))
