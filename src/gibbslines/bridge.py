@@ -119,23 +119,23 @@ class HrwSpec:
         mu = self.increment_mean()
         return float(np.trapezoid((x - mu) ** 2 * v, x))
 
-    def support(self, eps: float = TRUNCATION_EPS) -> tuple[float, float]:
-        """An interval outside of which the increment mass is <= eps."""
+    def support(self) -> tuple[float, float]:
+        """An interval outside of which the increment mass is <= ``TRUNCATION_EPS``."""
         if self.kind == "log-gamma":
             th = self.theta
             # mass above W: P(theta, e^-W) ~ e^(-W theta)/Gamma(theta+1)
-            right = (math.log(2.0 / eps) - math.lgamma(th + 1.0)) / th + 1.0
+            right = (math.log(2.0 / TRUNCATION_EPS) - math.lgamma(th + 1.0)) / th + 1.0
             # mass below -a: Q(theta, e^a); bracket a in [0, 60]
             lo_a, hi_a = 0.0, 60.0
             for _ in range(80):
                 mid = 0.5 * (lo_a + hi_a)
-                if gammaincc(th, math.exp(mid)) > eps / 2.0:
+                if gammaincc(th, math.exp(mid)) > TRUNCATION_EPS / 2.0:
                     lo_a = mid
                 else:
                     hi_a = mid
             return (-hi_a, right)
         if self.kind == "zero-interaction-test":
-            w = float(ndtri(1.0 - eps / 2.0)) + 0.5
+            w = float(ndtri(1.0 - TRUNCATION_EPS / 2.0)) + 0.5
             return (-w, w)
         return (float(self.table_x[0]), float(self.table_x[-1]))
 
@@ -159,11 +159,11 @@ class BridgeSpec:
         return self.t1 - self.t0
 
 
-def hrw_density(hrw: HrwSpec, m: int = DEFAULT_GRID_M, eps: float = TRUNCATION_EPS) -> GridDensity:
-    """Tabulate the increment density on [mu - W, mu + W], truncated mass <= eps,
-    and normalize."""
+def hrw_density(hrw: HrwSpec, m: int = DEFAULT_GRID_M) -> GridDensity:
+    """Tabulate the increment density on [mu - W, mu + W], truncated mass
+    <= ``TRUNCATION_EPS``, and normalize."""
     mu = hrw.increment_mean()
-    s_lo, s_hi = hrw.support(eps)
+    s_lo, s_hi = hrw.support()
     w = max(mu - s_lo, s_hi - mu)
     grid = np.linspace(mu - w, mu + w, m)
     with np.errstate(under="ignore"):
@@ -190,20 +190,21 @@ def _convolve(a: GridDensity, b: GridDensity) -> GridDensity:
     return GridDensity(lo=lo + i0 * a.step, hi=lo + i1 * a.step, values=vals[i0 : i1 + 1])
 
 
-def _next_power(power: GridDensity, unit: GridDensity, max_width: float = 2.0e4) -> GridDensity:
-    power = _convolve(power, unit)
-    if power.hi - power.lo > max_width:
-        raise ResourceLimitError(
-            f"n-step grid grew beyond max_width={max_width}; increase the cap"
-        )
-    return power
-
-
-def _mass_checked(power: GridDensity) -> GridDensity:
-    mass = power.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise PrecisionError(f"n-step mass drifted to {mass}")
-    return power.normalized()
+def _step_powers(power: GridDensity, unit: GridDensity, max_width: float = 2.0e4):
+    """Yield (power, density) for one more increment at a time: the
+    unnormalised ``power`` convolved once more with ``unit`` by FFT on the
+    widening grid, and that power normalised.  A total support beyond
+    ``max_width`` is a resource error."""
+    while True:
+        power = _convolve(power, unit)
+        if power.hi - power.lo > max_width:
+            raise ResourceLimitError(
+                f"n-step grid grew beyond max_width={max_width}; increase the cap"
+            )
+        mass = power.mass()
+        if abs(mass - 1.0) > 1e-6:
+            raise PrecisionError(f"n-step mass drifted to {mass}")
+        yield power, power.normalized()
 
 
 def n_step_density(g: GridDensity, n: int, max_width: float = 2.0e4) -> GridDensity:
@@ -212,26 +213,27 @@ def n_step_density(g: GridDensity, n: int, max_width: float = 2.0e4) -> GridDens
     support is a resource error."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    unit = power = g.normalized()
+    dens = g.normalized()
+    powers = _step_powers(dens, dens, max_width)
     for _ in range(n - 1):
-        power = _next_power(power, unit, max_width)
-    return _mass_checked(power)
+        _, dens = next(powers)
+    return dens
 
 
 class _StepDensities:
     """The n-step densities of one increment law on one grid size: density n
-    continues the loop of ``n_step_density`` from the unnormalised (n-1)-fold
-    power, the only power kept.  n = 1 is the tabulated density itself."""
+    continues ``_step_powers`` from the unnormalised (n-1)-fold power, the
+    only power kept.  n = 1 is the tabulated density itself."""
 
     def __init__(self, hrw: HrwSpec, m: int):
         self.dens = [hrw_density(hrw, m)]
         self.unit = self.power = self.dens[0].normalized()
 
     def get(self, n: int) -> GridDensity:
+        powers = _step_powers(self.power, self.unit)
         while len(self.dens) < n:
-            power = _next_power(self.power, self.unit)
-            self.dens.append(_mass_checked(power))
-            self.power = power
+            self.power, dens = next(powers)
+            self.dens.append(dens)
         return self.dens[n - 1]
 
 
@@ -246,7 +248,7 @@ def _step_density_cached(hrw: HrwSpec, n: int, m: int) -> GridDensity:
 
 @lru_cache(maxsize=64)
 def _support(hrw: HrwSpec) -> tuple[float, float]:
-    """``hrw.support()`` at the default truncation, computed once per law."""
+    """``hrw.support()``, computed once per law."""
     return hrw.support()
 
 
@@ -366,14 +368,11 @@ def sample_bridges_mcmc(
     """
     from .gibbs import EnsembleSpec, InteractionSpec, sample_ensembles_mcmc
 
-    T = spec.steps
-    if init is None:
-        init = spec.x + np.tile(np.linspace(0.0, 1.0, T + 1), (n_samples, 1)) * (spec.y - spec.x)
-    paths = np.array(init, dtype=float, copy=True)
-    if paths.shape != (n_samples, T + 1):
-        raise ValueError("init has wrong shape")
-    paths[:, 0], paths[:, T] = spec.x, spec.y
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (n_samples, spec.steps + 1):
+            raise ValueError("init has wrong shape")
+        init = init[:, None, :]
     zero = InteractionSpec.zero(spec.t0, spec.t1)
     ens = EnsembleSpec.make(1, 1, spec.t0, spec.t1, [spec.x], [spec.y], spec.hrw, zero)
-    return sample_ensembles_mcmc(ens, n_samples, sweeps, rng, paths[:, None, :], m)[:, 0, :]
-
+    return sample_ensembles_mcmc(ens, n_samples, sweeps, rng, init, m)[:, 0, :]

@@ -223,26 +223,21 @@ def run_ensemble(cfg: RunConfig) -> list[str]:
 # ----------------------------------------------------------------- couple --
 
 def run_couple(cfg: RunConfig) -> list[str]:
-    if not cfg.raise_by >= 0.0:  # as monotonicity_check, refuse boundary data that are not ordered
-        raise ValueError(f"raise_by must be >= 0, got {cfg.raise_by}")
     k, T = cfg.k, cfg.t
     x = [-cfg.spread * i for i in range(k)]
     b_low = coupling_mod.BoundaryTriple(x, x, [-cfg.spread * k] * T)
-    b_high = b_low.shifted(cfg.raise_by)
     hrw = bridge_mod.HrwSpec.log_gamma(cfg.theta)
     m = cfg.grid if cfg.grid else coupling_mod.DEFAULT_COUPLING_GRID_M
-    window = coupling_mod.default_window([b_low, b_high], T, hrw)
-    eng_lo = coupling_mod.GrandCouplingEngine(b_low, T, hrw, None, m, window)
-    eng_hi = coupling_mod.GrandCouplingEngine(b_high, T, hrw, None, m, window)
-    eps_grid = 1e-8 * (window[1] - window[0])
     omega = np.array(
         [_task_rng(cfg.seed, i).uniform(size=k * (T - 2)) for i in range(cfg.samples)]
     ).reshape(cfg.samples, k * (T - 2))
-    gaps = (eng_lo.sample(omega) - eng_hi.sample(omega)).reshape(cfg.samples, k * T).max(axis=1)
+    # a negative, NaN or infinite --raise-by is refused as unordered or non-finite data
+    gaps, eps_grid = coupling_mod.coupled_gaps(
+        b_low, b_low.shifted(cfg.raise_by), omega, T, hrw, None, m
+    )
     rows = [(i, float(v)) for i, v in enumerate(gaps)]
-    max_violation = float(gaps.max(initial=0.0))
     summary = {
-        "max_violation": max_violation,
+        "max_violation": float(gaps.max(initial=0.0)),
         "n_draws": cfg.samples,
         "grid_m": m,
         "eps_grid": eps_grid,

@@ -25,7 +25,7 @@ from .bridge import HrwSpec
 from .ensembles import DiscreteLineEnsemble
 from .errors import PrecisionError, ResourceLimitError
 from .gibbs import EnsembleSpec, Hamiltonian, InteractionSpec
-from .grids import trapezoid_cdf
+from .grids import inverse_cdf_rows
 from .reports import StatReport
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "grand_coupling_sample",
     "monotonicity_check",
     "continuity_check",
+    "coupled_gaps",
     "default_window",
     "log_partition",
 ]
@@ -41,6 +42,7 @@ __all__ = [
 DEFAULT_COUPLING_GRID_M = 256
 MAX_SWEEP_STATES = 2**21  # joint grid states m^k of one partition sweep (16 MB per array)
 TINY = 1e-150  # operand entries below TINY times their peak are zeroed: products stay normal
+PAD_SIGMAS = 8.0  # free-walk standard deviations padding a grid window
 BLOCK_ROWS = 4  # rows per gemm of a vector x matrix product: the fastest of 2-32 at m = 256
 
 
@@ -79,9 +81,7 @@ class BoundaryTriple:
         )
 
 
-def default_window(
-    boundaries, T: int, hrw: HrwSpec, pad_sigmas: float = 8.0
-) -> tuple[float, float]:
+def default_window(boundaries, T: int, hrw: HrwSpec) -> tuple[float, float]:
     """A grid window wide enough for every transfer function of the given
     boundary data: finite data range padded by the free-walk spread."""
     vals = []
@@ -89,16 +89,17 @@ def default_window(
         vals.extend(b.x_vec)
         vals.extend(b.y_vec)
         vals.extend(b.z_vec)
-    return _padded_range(vals, T, hrw, pad_sigmas)
+    return _padded_range(vals, T, hrw)
 
 
-def _padded_range(vals, T: int, hrw: HrwSpec, pad_sigmas: float = 8.0) -> tuple[float, float]:
-    """Range of the finite ``vals`` padded by the free-walk spread over T steps."""
+def _padded_range(vals, T: int, hrw: HrwSpec) -> tuple[float, float]:
+    """Range of the finite ``vals`` padded by the free-walk spread over T
+    steps: ``PAD_SIGMAS`` standard deviations beyond the drift."""
     vals = np.asarray(vals, dtype=float)
     vals = vals[np.isfinite(vals)]
     mu = hrw.increment_mean()
     sig = np.sqrt(hrw.increment_var())
-    pad = abs(mu) * T + pad_sigmas * sig * np.sqrt(T) + 4.0 * sig
+    pad = abs(mu) * T + PAD_SIGMAS * sig * np.sqrt(T) + 4.0 * sig
     return float(vals.min() - pad), float(vals.max() + pad)
 
 
@@ -162,33 +163,113 @@ def _on_last_axis(rows: np.ndarray, n_axes: int) -> np.ndarray:
     return rows.reshape((rows.shape[0],) + (1,) * (n_axes - 1) + rows.shape[1:])
 
 
+def _checked_log(value: float) -> float:
+    if not value > 0.0:
+        raise PrecisionError("partition sweep underflowed to zero mass")
+    return math.log(value)
+
+
+def _rescaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each draw's grid function divided by its own peak and flushed below
+    ``TINY``, with the peaks: stored transfer functions enter products as
+    they are."""
+    peak = arr.reshape(arr.shape[0], -1).max(axis=1)
+    if not np.all(peak > 0.0):
+        raise PrecisionError("transfer function underflowed to zero mass")
+    return _flush(arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1))), peak
+
+
+class _Transfer:
+    """The forward transfer sweep of free rows on a uniform grid, shared by
+    the partition function and the grand coupling.  Bond j,
+    ``interaction.bond(a + j)``, pairs row i+1 at column j+1 with row i at
+    column j, as in ``gibbs.log_boltzmann_weight``."""
+
+    def __init__(self, hrw: HrwSpec, interaction: InteractionSpec, grid: np.ndarray, a: int):
+        self.hrw = hrw
+        self.interaction = interaction
+        self.grid = grid
+        self.a = a
+        self.gmat = _increment_matrix(hrw, grid)
+        self._emats: dict[Hamiltonian, np.ndarray] = {}  # one matrix per distinct H_j
+
+    def _g(self, x) -> np.ndarray:
+        """Increment density G(x)."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.hrw.log_g(x))
+
+    def _w(self, j: int, x) -> np.ndarray:
+        """Bond weight exp(-H_j(x)) of the bond from column j to j+1."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.interaction.bond(self.a + j).log_weight(x))
+
+    def _emat(self, j: int) -> np.ndarray:
+        """exp(-H_j(grid_b - grid_a)) for adjacent free rows."""
+        h = self.interaction.bond(self.a + j)
+        if h not in self._emats:
+            self._emats[h] = self._w(j, self.grid[None, :] - self.grid[:, None])
+        return self._emats[h]
+
+    def forward(self, x, below: np.ndarray, above=None, scale=1.0):
+        """Yield (alpha_j, peaks) for the interior columns j = 1..n of the
+        free rows entering at ``x`` (top to bottom): alpha_j, of shape
+        (draws,) + (m,)*len(x), divided by its per-draw ``peaks`` and flushed
+        below ``TINY``.  ``below`` (draws x (n+2) values, -inf allowed) pins
+        the row under the free rows, ``above`` (n+2 values; +inf entries,
+        whose bond factor is exactly 1, skipped) the row over them.  The
+        bond-0 factor to ``below`` has a constant argument, so it drops out
+        of every normalized conditional; the partition function passes it as
+        ``scale``, a factor of the first column.
+        """
+        grid, p = self.grid, len(x)
+        alpha = self._g(grid - x[0])
+        if above is not None and above[0] != np.inf:
+            alpha = alpha * self._w(0, grid - above[0])
+        alpha = alpha * scale
+        for i in range(1, p):
+            alpha = np.multiply.outer(alpha, self._g(grid - x[i]) * self._w(0, grid - x[i - 1]))
+        alpha = alpha[None]
+        n = below.shape[1] - 2
+        for j in range(1, n + 1):
+            alpha, peaks = _rescaled(alpha)
+            yield alpha, peaks
+            if j == n:
+                return
+            alpha = alpha * _on_last_axis(self._w(j, below[:, j + 1, None] - grid), p)
+            for i in range(p - 1, -1, -1):
+                alpha = _contract(alpha, self.gmat, i)
+                if i:
+                    alpha *= _on_axes(self._emat(j), i - 1, p)
+                elif above is not None and above[j] != np.inf:
+                    alpha *= self._w(j, grid - above[j]).reshape((1, -1) + (1,) * (p - 1))
+
+
 def log_partition(spec: EnsembleSpec, m: int = DEFAULT_COUPLING_GRID_M) -> float:
     """log of the partition function of ``spec``: the integral over the
     interior points of the free increment densities times the Boltzmann
-    weight, by one forward transfer sweep on a uniform m-point grid (a
+    weight, by the forward transfer sweep on a uniform m-point grid (a
     Riemann sum, rescaled by its peak at every column).
 
     The sweep carries the joint grid function (m,)^k of the free curves
-    across the columns.  Bond j pairs row i+1 at column j+1 with row i at
-    column j, as in ``gibbs.log_boltzmann_weight``; finite ``f``/``g`` rows
-    enter as the top and bottom bonds.  The grid spans the boundary data
-    padded by the free-walk spread, as in ``default_window``.  With every bond
-    switched off the curves are independent and each is swept on its own.  A
-    joint sweep holds m^k states and costs k m^(k+1) multiply-adds per column;
-    more than ``MAX_SWEEP_STATES`` states raise ``ResourceLimitError``.
+    across the columns; finite ``f``/``g`` rows enter as the top and bottom
+    bonds.  The grid spans the boundary data padded by the free-walk spread,
+    as in ``default_window``.  With every bond switched off the curves are
+    independent and each is swept on its own.  A joint sweep holds m^k
+    states and costs k m^(k+1) multiply-adds per column; more than
+    ``MAX_SWEEP_STATES`` states raise ``ResourceLimitError``.
     """
     if m < 2:
         raise ValueError("grid resolution must be >= 2")
     T = spec.b - spec.a
     grid = np.linspace(*_padded_range(spec.x_vec + spec.y_vec + spec.f + spec.g, T, spec.hrw), m)
-    gmat = _increment_matrix(spec.hrw, grid)
+    sweep = _Transfer(spec.hrw, spec.interaction, grid, spec.a)
     rows = range(spec.n_curves)
     if all(spec.interaction.bond(j).kind == "zero" for j in range(spec.a, spec.b)):
-        return float(sum(_log_sweep(spec, grid, gmat, [i]) for i in rows))
-    return _log_sweep(spec, grid, gmat, list(rows))
+        return float(sum(_log_sweep(spec, sweep, [i]) for i in rows))
+    return _log_sweep(spec, sweep, list(rows))
 
 
-def _log_sweep(spec: EnsembleSpec, grid: np.ndarray, gmat: np.ndarray, rows: list) -> float:
+def _log_sweep(spec: EnsembleSpec, sweep: _Transfer, rows: list) -> float:
     """``log_partition`` of the curves ``rows`` of ``spec`` swept jointly, with
     the curves above and below them as in ``spec`` (exact only when ``rows``
     are all the curves or every bond is off)."""
@@ -196,73 +277,29 @@ def _log_sweep(spec: EnsembleSpec, grid: np.ndarray, gmat: np.ndarray, rows: lis
     y = np.asarray(spec.y_vec)[rows]
     f = np.asarray(spec.f, dtype=float)
     g = np.asarray(spec.g, dtype=float)
-    k, T, m = x.size, spec.b - spec.a, grid.size
-
-    def weight(j, arg):
-        """exp(-H(arg)) of bond j (counted from spec.a)."""
-        with np.errstate(under="ignore"):
-            return np.exp(spec.interaction.bond(spec.a + j).log_weight(arg))
-
-    def density(arg):
-        with np.errstate(under="ignore"):
-            return np.exp(spec.hrw.log_g(arg))
-
-    def checked_log(value):
-        if not value > 0.0:
-            raise PrecisionError("partition sweep underflowed to zero mass")
-        return math.log(value)
-
+    k, T, grid = x.size, spec.b - spec.a, sweep.grid
     if T == 1:  # no interior point: the weight of the endpoint configuration
-        bonds = weight(0, np.append(y, g[1]) - np.concatenate([[f[0]], x]))
-        return float(spec.hrw.log_g(y - x).sum()) + checked_log(float(np.prod(bonds)))
-    if m**k > MAX_SWEEP_STATES:
+        bonds = sweep._w(0, np.append(y, g[1]) - np.concatenate([[f[0]], x]))
+        return float(spec.hrw.log_g(y - x).sum()) + _checked_log(float(np.prod(bonds)))
+    if grid.size**k > MAX_SWEEP_STATES:
         raise ResourceLimitError(
-            f"partition sweep over {m}^{k} grid states exceeds {MAX_SWEEP_STATES}"
+            f"partition sweep over {grid.size}^{k} grid states exceeds {MAX_SWEEP_STATES}"
         )
-
-    def on_axis(vec, i):
-        """(m,) vector broadcasting over grid axis i of a (1,) + (m,)*k stack."""
-        return vec.reshape((1,) * (i + 1) + (m,) + (1,) * (k - 1 - i))
-
     log_z = k * (T - 1) * math.log(grid[1] - grid[0])
-    emats: dict[Hamiltonian, np.ndarray] = {}
-    # column 1; the bottom bond 0 has a constant argument at the entrance column
-    alpha = np.full((1,) + (m,) * k, weight(0, g[1] - x[-1]))
-    for i in range(k):
-        above = f[0] if i == 0 else x[i - 1]
-        alpha *= on_axis(density(grid - x[i]) * weight(0, grid - above), i)
-    for j in range(1, T):  # rescale column j, then carry it to column j + 1 through bond j
-        peak = alpha.max()
-        log_z += checked_log(peak)
-        alpha /= peak
-        if j == T - 1:
-            break
-        h = spec.interaction.bond(spec.a + j)
-        if k > 1 and h not in emats:
-            emats[h] = weight(j, grid[None, :] - grid[:, None])
-        alpha = alpha * on_axis(weight(j, g[j + 1] - grid), k - 1)
-        for i in range(k - 1, -1, -1):
-            alpha = _contract(alpha, gmat, i)
-            alpha *= _on_axes(emats[h], i - 1, k) if i else on_axis(weight(j, grid - f[j]), 0)
+    columns = sweep.forward(x, g[None], f, sweep._w(0, g[1] - x[-1]))
+    for _ in range(T - 2):  # hold no column while the sweep builds the next one
+        log_z += math.log(next(columns)[1][0])
+    alpha, peak = next(columns)
+    log_z += math.log(peak[0])
     # exit column T, pinned at y, through bond T - 1
     total = alpha[0]
     for i in range(k - 1, -1, -1):
         below = y[i + 1] if i < k - 1 else g[T]
-        total = total @ (density(y[i] - grid) * weight(T - 1, below - grid))
-    return log_z + checked_log(float(total) * float(weight(T - 1, y[0] - f[T - 1])))
+        total = total @ (sweep._g(y[i] - grid) * sweep._w(T - 1, below - grid))
+    return log_z + _checked_log(float(total) * float(sweep._w(T - 1, y[0] - f[T - 1])))
 
 
-def _interp_rows(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.interp(u[b], cdf[b], grid)`` for u in (0, 1) and rows of
-    a normalized CDF (cdf[b, 0] = 0, cdf[b, -1] = 1), with its arithmetic."""
-    j = (cdf <= u[:, None]).sum(axis=1) - 1
-    c0 = np.take_along_axis(cdf, j[:, None], axis=1)[:, 0]
-    c1 = np.take_along_axis(cdf, j[:, None] + 1, axis=1)[:, 0]
-    slope = (grid[j + 1] - grid[j]) / (c1 - c0)
-    return np.where(u == c0, grid[j], slope * (u - c0) + grid[j])
-
-
-class GrandCouplingEngine:
+class GrandCouplingEngine(_Transfer):
     """Transfer-sweep machinery for one boundary datum on a fixed grid.
 
     Rows are processed bottom-to-top; within the active row p1 the forward
@@ -292,67 +329,21 @@ class GrandCouplingEngine:
         self.k = boundary.k
         self.T = T
         self.n = T - 2
-        self.hrw = hrw
-        self.interaction = interaction if interaction is not None else InteractionSpec.exp(0, T - 1)
-        if self.interaction.a > 0 or self.interaction.b < T - 1:
+        interaction = interaction if interaction is not None else InteractionSpec.exp(0, T - 1)
+        if interaction.a > 0 or interaction.b < T - 1:
             raise ValueError("interaction must cover bonds 0..T-2")
         if window is None:
             window = default_window([boundary], T, hrw)
         self.lo, self.hi = window
         self.m = m
-        self.grid = np.linspace(self.lo, self.hi, m)
-        self.gmat = _increment_matrix(hrw, self.grid)
-        self._emats: dict[Hamiltonian, np.ndarray] = {}  # one matrix per distinct H_j
+        super().__init__(hrw, interaction, np.linspace(self.lo, self.hi, m), 0)
         self._bottom_alphas: list[np.ndarray] | None = None
 
-    # -- kernel pieces ----------------------------------------------------
-    def _g(self, x) -> np.ndarray:
-        """Increment density G(x)."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.hrw.log_g(x))
-
-    def _w(self, j: int, x) -> np.ndarray:
-        """Bond weight exp(-H_j(x)) of the bond from column j to j+1."""
-        with np.errstate(under="ignore"):
-            return np.exp(self.interaction.bond(j).log_weight(x))
-
-    def _emat(self, j: int) -> np.ndarray:
-        """exp(-H_j(grid_b - grid_a)) for adjacent free rows."""
-        h = self.interaction.bond(j)
-        if h not in self._emats:
-            self._emats[h] = self._w(j, self.grid[None, :] - self.grid[:, None])
-        return self._emats[h]
-
-    @staticmethod
-    def _rescaled(arr: np.ndarray) -> np.ndarray:
-        """Divide each draw's grid function by its own peak and flush it below
-        ``TINY``: the stored transfer functions enter products as they are."""
-        peak = arr.reshape(arr.shape[0], -1).max(axis=1)
-        if not np.all(peak > 0.0):
-            raise PrecisionError("transfer function underflowed to zero mass")
-        return _flush(arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1)))
-
-    # -- forward transfer functions ---------------------------------------
     def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
         """alpha_j for j = 1..n, each of shape (draws,) + (m,)*p1, with rows
         1..p1 free and the row below pinned at ``below`` (draws x T values,
         -inf allowed)."""
-        x = self.boundary.x_vec
-        grid = self.grid
-        alpha = self._g(grid - x[0])
-        for i in range(1, p1):
-            alpha = np.multiply.outer(alpha, self._g(grid - x[i]) * self._w(0, grid - x[i - 1]))
-        # the bond-0 factor to the row below has constant argument (it sits at
-        # the entrance column) and drops out of every normalized conditional
-        alphas = [self._rescaled(alpha[None])]
-        for j in range(1, self.n):
-            nxt = alphas[-1] * _on_last_axis(self._w(j, below[:, j + 1, None] - grid), p1)
-            for i in range(p1 - 1, -1, -1):
-                nxt = _contract(nxt, self.gmat, i)
-                if i:
-                    nxt = nxt * _on_axes(self._emat(j), i - 1, p1)
-            alphas.append(self._rescaled(nxt))
-        return alphas
+        return [alpha for alpha, _ in self.forward(self.boundary.x_vec[:p1], below)]
 
     def bottom_alphas(self) -> list[np.ndarray]:
         if self._bottom_alphas is None:
@@ -371,7 +362,7 @@ class GrandCouplingEngine:
             beta = np.multiply.outer(
                 beta, self._g(y[i] - self.grid) * self._w(j, y[i + 1] - self.grid)
             )
-        return self._rescaled(beta[None])
+        return _rescaled(beta[None])[0]
 
     def _beta_step(self, beta: np.ndarray, j: int, s_right: np.ndarray) -> np.ndarray:
         """beta_j from beta_{j+1}: rows 1..p1-1 free, row p1 pinned at
@@ -382,7 +373,7 @@ class GrandCouplingEngine:
             if i:
                 nxt = nxt * _on_axes(self._emat(j), i - 1, q)
             nxt = _contract(nxt, self.gmat.T, i)
-        return self._rescaled(nxt * _on_last_axis(self._w(j, s_right[:, None] - self.grid), q))
+        return _rescaled(nxt * _on_last_axis(self._w(j, s_right[:, None] - self.grid), q))[0]
 
     # -- site conditionals --------------------------------------------------
     def _site_values(
@@ -460,9 +451,8 @@ class GrandCouplingEngine:
                 dens = self._site_values(
                     p1, p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
                 )
-                cdf = trapezoid_cdf(dens, 1.0)
-                cdf /= cdf[:, -1:]
-                vals[:, p1 - 1, p2] = _interp_rows(omega[:, (p1 - 1) * n + p2 - 1], cdf, self.grid)
+                u = omega[:, (p1 - 1) * n + p2 - 1]
+                vals[:, p1 - 1, p2] = inverse_cdf_rows(self.grid, dens, u)
                 if beta is not None and p2 > 1:
                     beta = self._beta_step(beta, p2 - 1, vals[:, p1 - 1, p2])
 
@@ -486,6 +476,32 @@ def grand_coupling_sample(
     return DiscreteLineEnsemble(curves=engine.sample(omega), t0=0, t1=T - 1)
 
 
+def coupled_gaps(
+    b_low: BoundaryTriple,
+    b_high: BoundaryTriple,
+    omega: np.ndarray,
+    T: int,
+    hrw: HrwSpec,
+    interaction: InteractionSpec | None,
+    m: int,
+) -> tuple[np.ndarray, float]:
+    """Both boundary data evaluated on each sample point of ``omega`` (B x
+    k(T-2)), on one grid spanning both: the per-draw worst violation
+    max(low - high) over all lattice points, and ``eps_grid``, 1e-8 of the
+    grid width, the tolerance a violation is measured against.  Boundary
+    data that are not ordered raise ``ValueError``."""
+    for name in ("x_vec", "y_vec", "z_vec"):
+        lo_v = np.asarray(getattr(b_low, name))
+        hi_v = np.asarray(getattr(b_high, name))
+        if not np.all(lo_v <= hi_v):
+            raise ValueError(f"boundary data not ordered in {name}")
+    window = default_window([b_low, b_high], T, hrw)
+    eng_lo = GrandCouplingEngine(b_low, T, hrw, interaction, m, window)
+    eng_hi = GrandCouplingEngine(b_high, T, hrw, interaction, m, window)
+    gaps = (eng_lo.sample(omega) - eng_hi.sample(omega)).max(axis=(1, 2))
+    return gaps, 1e-8 * (window[1] - window[0])
+
+
 def monotonicity_check(
     b_low: BoundaryTriple,
     b_high: BoundaryTriple,
@@ -496,34 +512,21 @@ def monotonicity_check(
     hrw: HrwSpec,
     interaction: InteractionSpec | None = None,
     m: int = DEFAULT_COUPLING_GRID_M,
-    eps_grid: float | None = None,
 ) -> StatReport:
     """Pathwise-ordering check under common uniforms.
 
     Draws ``n_draws`` omegas, evaluates both boundary data on each, and
     records the worst violation of low <= high over all lattice points; a
-    violation beyond eps_grid (default 1e-8 of the grid width) is counted,
-    not raised.
+    violation beyond ``eps_grid`` (1e-8 of the grid width) is counted, not
+    raised.
     """
-    for name in ("x_vec", "y_vec", "z_vec"):
-        lo_v = np.asarray(getattr(b_low, name))
-        hi_v = np.asarray(getattr(b_high, name))
-        if not np.all(lo_v <= hi_v):
-            raise ValueError(f"boundary data not ordered in {name}")
-    window = default_window([b_low, b_high], T, hrw)
-    if eps_grid is None:
-        eps_grid = 1e-8 * (window[1] - window[0])
-    eng_lo = GrandCouplingEngine(b_low, T, hrw, interaction, m, window)
-    eng_hi = GrandCouplingEngine(b_high, T, hrw, interaction, m, window)
     omega = rng.uniform(size=(n_draws, k * (T - 2)))
-    gaps = (eng_lo.sample(omega) - eng_hi.sample(omega)).reshape(n_draws, k * T).max(axis=1)
-    max_violation = float(gaps.max(initial=0.0))
-    n_violations = int(np.count_nonzero(gaps > eps_grid))
+    gaps, eps_grid = coupled_gaps(b_low, b_high, omega, T, hrw, interaction, m)
     report = StatReport(
         meta={"n_draws": n_draws, "grid_m": m, "eps_grid": eps_grid, "k": k, "T": T}
     )
-    report.add("max_violation", max_violation)
-    report.add("n_violations", float(n_violations))
+    report.add("max_violation", float(gaps.max(initial=0.0)))
+    report.add("n_violations", float(np.count_nonzero(gaps > eps_grid)))
     return report
 
 

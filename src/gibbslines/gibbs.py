@@ -369,8 +369,9 @@ def sample_ensembles_mcmc(
 
     Each interior site is resampled from its exact full conditional
     (neighboring increments times the two adjacent bond factors).  Chains
-    start from the linear chords unless ``init`` is given; with every bond
-    switched off this reduces to independent bridge MCMC.  Each sweep reads
+    start from the linear chords unless ``init`` is given, with columns 0
+    and T pinned to ``x_vec``/``y_vec`` either way; with every bond switched
+    off this reduces to independent bridge MCMC.  Each sweep reads
     k(T-1) uniforms per chain in (curve, time) order: from one Generator as
     k(T-1) successive draws of one value per chain, or from each chain's own
     Generator in a sequence of n_chains.
@@ -388,6 +389,7 @@ def sample_ensembles_mcmc(
         x = np.asarray(spec.x_vec)[:, None]
         y = np.asarray(spec.y_vec)[:, None]
         curves = np.broadcast_to(x + frac * (y - x), (n_chains, spec.n_curves, T + 1)).copy()
+    curves[:, :, 0], curves[:, :, T] = spec.x_vec, spec.y_vec
     k = spec.n_curves
     support = _support(spec.hrw)
     for _ in range(sweeps):

@@ -96,11 +96,9 @@ class GridDensity:
             raise PrecisionError("cannot normalize a zero-mass density")
         return GridDensity(self.lo, self.hi, self.values / total)
 
-    def pdf(self, x) -> np.ndarray:
-        return np.interp(x, self.x, self.values, left=0.0, right=0.0)
-
     def log_pdf(self, x) -> np.ndarray:
-        """log of ``pdf``, -inf outside [lo, hi] and where the table is 0.
+        """log of the linear interpolation of the table, -inf outside
+        [lo, hi] and where the table is 0.
 
         ``np.interp`` reads only the nodes that bracket a query, so the log
         is taken of the slice of nodes spanning the queries (one node of
@@ -136,9 +134,6 @@ class GridDensity:
     def cdf_values(self) -> np.ndarray:
         c = trapezoid_cdf(self.values, self.step)
         return c / c[-1]
-
-    def cdf(self, s) -> np.ndarray:
-        return np.interp(s, self.x, self.cdf_values(), left=0.0, right=1.0)
 
     def ppf(self, u) -> np.ndarray:
         """Inverse CDF by monotone linear interpolation."""

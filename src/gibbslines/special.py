@@ -82,7 +82,7 @@ def g_theta(theta: float, z):
     return res if isinstance(z, np.ndarray) else float(res)
 
 
-def g_theta_inv(theta: float, x, max_iter: int = 90):
+def g_theta_inv(theta: float, x):
     """Inverse of ``g_theta``: the unique z in (0, theta) with g_theta(z) = x.
 
     Bracketing bisection on (0, theta); no derivatives, so no blowup near the
@@ -95,7 +95,7 @@ def g_theta_inv(theta: float, x, max_iter: int = 90):
     lo = np.full_like(xa, theta * 1e-14)
     hi = np.full_like(xa, theta * (1.0 - 1e-14))
     done = np.zeros_like(xa, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(90):  # 90 halvings shrink the bracket below one ulp of theta
         mid = 0.5 * (lo + hi)
         done |= (mid <= lo) | (mid >= hi)
         if np.all(done):

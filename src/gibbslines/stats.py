@@ -151,7 +151,6 @@ def gap_and_acceptance_diagnostics(
     N: int,
     r: float,
     k: int,
-    hrw=None,
     m: int | None = None,
 ) -> StatReport:
     """Edge-gap and acceptance-probability diagnostics over the centered window.
@@ -159,8 +158,9 @@ def gap_and_acceptance_diagnostics(
     Reports the smallest gap between consecutive curves among the k+1 present
     at the window edges s+- = floor(+-r N^(2/3)), and the exact acceptance
     probability of curves 1..k with boundary data read from the ensemble (the
-    curve below the window acts as the bottom boundary), from a transfer
-    sweep on an m-point grid (``gibbs.acceptance_probability``).
+    curve below the window acts as the bottom boundary) under the log-gamma
+    increment law of ``constants.theta``, from a transfer sweep on an m-point
+    grid (``gibbs.acceptance_probability``).
     """
     from .bridge import HrwSpec
     from .gibbs import acceptance_probability, window_spec_from_ensemble
@@ -172,13 +172,11 @@ def gap_and_acceptance_diagnostics(
     s_plus = int(math.floor(r * N**c.alpha))
     if s_minus < ensemble.t0 or s_plus > ensemble.t1:
         raise ValueError("window exceeds ensemble data")
-    if hrw is None:
-        hrw = HrwSpec.log_gamma(c.theta)
     gaps = []
     for i in range(1, k + 1):
         for s in (s_minus, s_plus):
             gaps.append(ensemble.value(i, s) - ensemble.value(i + 1, s))
-    spec = window_spec_from_ensemble(ensemble, k, s_minus, s_plus, hrw)
+    spec = window_spec_from_ensemble(ensemble, k, s_minus, s_plus, HrwSpec.log_gamma(c.theta))
     report = StatReport(meta={"s_minus": s_minus, "s_plus": s_plus, "k": k})
     report.add("min_gap", float(min(gaps)))
     report.add("acceptance", acceptance_probability(spec, m))

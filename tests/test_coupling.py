@@ -1,6 +1,8 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import partition_oracle
 import pytest
 
 from gibbslines import coupling as cp
@@ -10,6 +12,8 @@ from gibbslines.grids import GridDensity, trapezoid_cdf
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 HRW = HrwSpec.log_gamma(1.0)
+# a tabulated H vanishing left of 1e3: never switched on, but not "zero"
+IDLE = gb.Hamiltonian("tabulated", table_x=(1e3, 1e3 + 1.0, 1e3 + 2.0), table_values=(0.0, 1.0, 3.0))
 
 
 # -- point order and single-site conditionals: test-side views of the fill --
@@ -330,12 +334,19 @@ class TestGrandCouplingSample:
 
 
 class TestBatchedSample:
-    @pytest.mark.parametrize("interaction", ["exp", "zero"])
-    @pytest.mark.parametrize("z", [-np.inf, -1.5])
-    @pytest.mark.parametrize("T", [2, 3, 5, 6])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "k,T,z,interaction",
+        [
+            (k, T, z, interaction)
+            for k in (1, 2)
+            for T in (2, 3, 5, 6)
+            for z in (-np.inf, -1.5)
+            for interaction in ("exp", "zero")
+        ]
+        + [(3, 4, -3.5, "exp")],
+    )
     def test_matches_per_draw_reference(self, k, T, z, interaction):
-        b = cp.BoundaryTriple([1.0, -0.5][:k], [1.5, 0.0][:k], [z] * T)
+        b = cp.BoundaryTriple([1.0, -0.5, -2.0][:k], [1.5, 0.0, -1.5][:k], [z] * T)
         inter = getattr(gb.InteractionSpec, interaction)(0, T - 1)
         eng = cp.GrandCouplingEngine(b, T, HRW, inter)
         omega = np.random.default_rng(10 * k + T).uniform(size=(5, k * (T - 2)))
@@ -434,12 +445,9 @@ class TestLogPartition:
 
     @pytest.mark.parametrize("k,m", [(2, 256), (3, 64)])
     def test_joint_sweep_with_idle_bonds_is_independent_curves(self, k, m):
-        # a tabulated H vanishing left of 1e3 is never switched on, but it is
-        # not "zero", so this sweep runs over the joint state
+        # idle bonds are not "zero", so this sweep runs over the joint state
         T = 6
-        idle = gb.Hamiltonian("tabulated", table_x=(1e3, 1e3 + 1.0, 1e3 + 2.0),
-                              table_values=(0.0, 1.0, 3.0))
-        joint = _ladder(k, T, gb.InteractionSpec(0, T, (idle,) * T))
+        joint = _ladder(k, T, gb.InteractionSpec(0, T, (IDLE,) * T))
         free = _ladder(k, T, gb.InteractionSpec.zero(0, T))
         assert cp.log_partition(joint, m) == pytest.approx(cp.log_partition(free, m), rel=1e-12)
 
@@ -458,6 +466,35 @@ class TestLogPartition:
         assert gb.acceptance_probability(spec) == pytest.approx(
             gb.acceptance_probability(mirror), rel=1e-10
         )
+
+    @pytest.mark.parametrize("T", [1, 6])
+    @pytest.mark.parametrize("k,m", [(1, 256), (2, 256), (3, 64)])
+    def test_matches_frozen_reference(self, k, m, T):
+        # the earlier column loop of log_partition, kept in partition_oracle:
+        # the engine's forward sweep reproduces it bit for bit
+        low = -1.5 * k - 0.5
+        boundaries = {
+            "free": {},
+            "g": dict(g=[low] * (T + 1)),
+            "f-and-g-partly-finite": dict(
+                f=[math.inf if t % 2 else 1.2 + 0.1 * t for t in range(T + 1)],
+                g=[-math.inf if t % 3 else low for t in range(T + 1)],
+            ),
+        }
+        bonds = {
+            "exp": gb.InteractionSpec.exp(0, T),
+            "zero": gb.InteractionSpec.zero(0, T),
+            "idle": gb.InteractionSpec(0, T, (IDLE,) * T),
+        }
+        for name, bounds in boundaries.items():
+            for kind, inter in bonds.items():
+                spec = _ladder(k, T, inter, **bounds)
+                got = (cp.log_partition(spec, m), gb.acceptance_probability(spec, m))
+                want = (
+                    partition_oracle.log_partition(spec, m),
+                    partition_oracle.acceptance_probability(spec, m),
+                )
+                assert got == want, (name, kind)
 
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -484,6 +521,16 @@ class TestMonotonicity:
         b_lo = cp.BoundaryTriple(x, x, [-4.0] * T)
         rep = cp.monotonicity_check(
             b_lo, b_lo.shifted(0.5), 500, k, T, np.random.default_rng(13), HRW, m=256
+        )
+        assert rep["n_violations"][0] == 0.0
+        assert rep["max_violation"][0] <= rep.meta["eps_grid"]
+
+    def test_three_curves_no_violation(self):
+        T = 4
+        x = [0.0, -2.0, -4.0]
+        b_lo = cp.BoundaryTriple(x, x, [-6.0] * T)
+        rep = cp.monotonicity_check(
+            b_lo, b_lo.shifted(0.3), 64, 3, T, np.random.default_rng(16), HRW
         )
         assert rep["n_violations"][0] == 0.0
         assert rep["max_violation"][0] <= rep.meta["eps_grid"]

@@ -391,6 +391,16 @@ class TestMcmcSampler:
         assert np.all(mc[:, 0, 0] == 0.0)
         assert np.all(mc[:, 1, 0] == -2.0)
 
+    def test_end_columns_pinned_to_x_and_y(self):
+        # the chord x + frac (y - x) ends at -0.29000000000000004 here, and a
+        # user init keeps whatever end columns it was given unless pinned
+        spec = gb.EnsembleSpec.make(1, 1, 0, 3, [0.1], [-0.29], HRW, gb.InteractionSpec.exp(0, 3))
+        init = np.random.default_rng(18).normal(size=(4, 1, 4))
+        for start in (None, init):
+            mc = gb.sample_ensembles_mcmc(spec, 4, 2, np.random.default_rng(17), init=start)
+            assert np.all(mc[:, 0, 0] == 0.1) and np.all(mc[:, 0, -1] == -0.29)
+        assert not np.any(init[:, 0, [0, -1]] == [0.1, -0.29])
+
     def test_raising_g_lowers_acceptance(self):
         T = 4
         spec_lo = ladder_spec(1, T, gb.InteractionSpec.exp(0, T), g=[-2.0] * (T + 1))
