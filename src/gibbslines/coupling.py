@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,7 @@ MAX_SWEEP_STATES = 2**21  # joint grid states m^k of one partition sweep (16 MB 
 TINY = 1e-150  # operand entries below TINY times their peak are zeroed: products stay normal
 PAD_SIGMAS = 8.0  # free-walk standard deviations padding a grid window
 BLOCK_ROWS = 4  # rows per gemm of a vector x matrix product: the fastest of 2-32 at m = 256
+BOX_QUANTUM = 16  # nonzero boxes start and end on multiples of this, as the full gemm's tiles do
 
 
 @dataclass(frozen=True)
@@ -132,24 +134,39 @@ def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (padded.reshape(-1, BLOCK_ROWS, size) @ mat).reshape(padded.shape[0], -1)[:n]
 
 
-def _contract(x: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+def _span(nonzero: np.ndarray) -> slice:
+    """A 1-d mask's True entries, their ends rounded out to ``BOX_QUANTUM``."""
+    idx = np.flatnonzero(nonzero)
+    lo, hi = (idx[0], idx[-1] + 1) if idx.size else (0, 1)
+    return slice(lo - lo % BOX_QUANTUM, min(hi - hi % -BOX_QUANTUM, nonzero.size))
+
+
+def _contract(x: np.ndarray, mat: np.ndarray, axis: int, shared: bool = False) -> np.ndarray:
     """out[.., A, ..] = sum_a x[.., a, ..] mat[a, A] over grid axis ``axis``
-    of a stack of grid functions (draws first).  ``x`` is flushed in place:
-    callers pass temporaries, or transfer functions ``_rescaled`` flushed.
+    of a stack of grid functions (draws first), which callers ``_flush``.
 
     A stack with one grid axis is a ``_row_products`` call; on more axes every
     product is a per-draw ``matmul`` of the same shape.  Either way a draw's
-    result does not depend on which other draws share its stack.
+    result does not depend on which other draws share its stack.  A shared
+    (one-draw) stack skips exact zeros, summing each axis's ``_span`` into the
+    columns of the square ``mat`` it reaches; the result overwrites ``x``.
     """
-    x = _flush(x)
+    if shared:
+        nonzero, axes = x[0] != 0.0, range(x.ndim - 1)
+        box = [slice(None)] + [_span(nonzero.any(tuple(a for a in axes if a != i))) for i in axes]
+        out = box[: axis + 1] + [_span(mat[box[axis + 1]].any(axis=0))] + box[axis + 2 :]
+        prod = _contract(x[tuple(box)], mat[box[axis + 1], out[axis + 1]], axis)
+        x.fill(0.0)
+        x[tuple(out)] = prod
+        return x
     n_draws, dims = x.shape[0], x.shape[1:]
-    m = dims[axis]
+    shape = x.shape[: axis + 1] + mat.shape[1:] + x.shape[axis + 2 :]
     if len(dims) == 1:
         return _row_products(x, mat)
     if axis == len(dims) - 1:
-        return (x.reshape(n_draws, -1, m) @ mat).reshape(x.shape)
+        return (x.reshape(n_draws, -1, dims[axis]) @ mat).reshape(shape)
     lead = int(np.prod(dims[:axis]))
-    return (mat.T @ x.reshape(n_draws, lead, m, -1)).reshape(x.shape)
+    return (mat.T @ x.reshape(n_draws, lead, dims[axis], -1)).reshape(shape)
 
 
 def _on_axes(mat: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
@@ -159,8 +176,8 @@ def _on_axes(mat: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
 
 
 def _on_last_axis(rows: np.ndarray, n_axes: int) -> np.ndarray:
-    """View of per-draw (draws, m) rows broadcasting over the last grid axis."""
-    return rows.reshape((rows.shape[0],) + (1,) * (n_axes - 1) + rows.shape[1:])
+    """View of (draws, m) rows, or one (m,) row, broadcasting over the last grid axis."""
+    return rows.reshape((-1,) + (1,) * (n_axes - 1) + rows.shape[-1:])
 
 
 def _checked_log(value: float) -> float:
@@ -190,8 +207,11 @@ class _Transfer:
         self.interaction = interaction
         self.grid = grid
         self.a = a
-        self.gmat = _increment_matrix(hrw, grid)
         self._emats: dict[Hamiltonian, np.ndarray] = {}  # one matrix per distinct H_j
+
+    @cached_property
+    def gmat(self) -> np.ndarray:
+        return _increment_matrix(self.hrw, self.grid)
 
     def _g(self, x) -> np.ndarray:
         """Increment density G(x)."""
@@ -214,12 +234,12 @@ class _Transfer:
         """Yield (alpha_j, peaks) for the interior columns j = 1..n of the
         free rows entering at ``x`` (top to bottom): alpha_j, of shape
         (draws,) + (m,)*len(x), divided by its per-draw ``peaks`` and flushed
-        below ``TINY``.  ``below`` (draws x (n+2) values, -inf allowed) pins
-        the row under the free rows, ``above`` (n+2 values; +inf entries,
-        whose bond factor is exactly 1, skipped) the row over them.  The
-        bond-0 factor to ``below`` has a constant argument, so it drops out
-        of every normalized conditional; the partition function passes it as
-        ``scale``, a factor of the first column.
+        below ``TINY``.  ``below`` (n+2 values shared by every draw, or draws
+        x (n+2); -inf allowed) pins the row under the free rows, ``above``
+        (n+2 values; +inf entries, whose bond factor is exactly 1, skipped)
+        the row over them.  The bond-0 factor to ``below`` has a constant
+        argument, so it drops out of every normalized conditional; the
+        partition function passes it as ``scale``, a factor of the first column.
         """
         grid, p = self.grid, len(x)
         alpha = self._g(grid - x[0])
@@ -229,15 +249,15 @@ class _Transfer:
         for i in range(1, p):
             alpha = np.multiply.outer(alpha, self._g(grid - x[i]) * self._w(0, grid - x[i - 1]))
         alpha = alpha[None]
-        n = below.shape[1] - 2
+        n = below.shape[-1] - 2
         for j in range(1, n + 1):
             alpha, peaks = _rescaled(alpha)
             yield alpha, peaks
             if j == n:
                 return
-            alpha = alpha * _on_last_axis(self._w(j, below[:, j + 1, None] - grid), p)
+            alpha = alpha * _on_last_axis(self._w(j, below[..., j + 1, None] - grid), p)
             for i in range(p - 1, -1, -1):
-                alpha = _contract(alpha, self.gmat, i)
+                alpha = _contract(_flush(alpha), self.gmat, i, below.ndim == 1 and p > 1)
                 if i:
                     alpha *= _on_axes(self._emat(j), i - 1, p)
                 elif above is not None and above[j] != np.inf:
@@ -286,7 +306,7 @@ def _log_sweep(spec: EnsembleSpec, sweep: _Transfer, rows: list) -> float:
             f"partition sweep over {grid.size}^{k} grid states exceeds {MAX_SWEEP_STATES}"
         )
     log_z = k * (T - 1) * math.log(grid[1] - grid[0])
-    columns = sweep.forward(x, g[None], f, sweep._w(0, g[1] - x[-1]))
+    columns = sweep.forward(x, g, f, sweep._w(0, g[1] - x[-1]))
     for _ in range(T - 2):  # hold no column while the sweep builds the next one
         log_z += math.log(next(columns)[1][0])
     alpha, peak = next(columns)
@@ -341,14 +361,14 @@ class GrandCouplingEngine(_Transfer):
 
     def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
         """alpha_j for j = 1..n, each of shape (draws,) + (m,)*p1, with rows
-        1..p1 free and the row below pinned at ``below`` (draws x T values,
-        -inf allowed)."""
+        1..p1 free and the row below pinned at ``below`` (T values shared by
+        every draw, or draws x T; -inf allowed)."""
         return [alpha for alpha, _ in self.forward(self.boundary.x_vec[:p1], below)]
 
     def bottom_alphas(self) -> list[np.ndarray]:
         if self._bottom_alphas is None:
             z = np.asarray(self.boundary.z_vec)
-            self._bottom_alphas = self._alphas(self.k, z[None])
+            self._bottom_alphas = self._alphas(self.k, z)
         return self._bottom_alphas
 
     # -- backward (pinned-row) transfer functions --------------------------
@@ -372,7 +392,7 @@ class GrandCouplingEngine(_Transfer):
         for i in range(q):
             if i:
                 nxt = nxt * _on_axes(self._emat(j), i - 1, q)
-            nxt = _contract(nxt, self.gmat.T, i)
+            nxt = _contract(_flush(nxt), self.gmat.T, i)
         return _rescaled(nxt * _on_last_axis(self._w(j, s_right[:, None] - self.grid), q))[0]
 
     # -- site conditionals --------------------------------------------------
@@ -395,8 +415,11 @@ class GrandCouplingEngine(_Transfer):
         else:
             size = beta[0].size
             rows = beta.reshape(beta.shape[0], size)
-            if p1 == self.k:
-                joint = _row_products(rows, alpha.reshape(size, -1))
+            if p1 == self.k:  # the shared alpha, at k = 2 over its nonzero box
+                mat = alpha.reshape(size, -1)
+                r, c = (_span(mat.any(axis=a)) if p1 == 2 else slice(None) for a in (1, 0))
+                joint = np.zeros((rows.shape[0], self.m))
+                joint[:, c] = _row_products(rows[:, r], mat[r, c])
             else:
                 joint = (rows[:, None] @ alpha.reshape(alpha.shape[0], size, -1))[:, 0]
             vals = joint * u
@@ -476,6 +499,16 @@ def grand_coupling_sample(
     return DiscreteLineEnsemble(curves=engine.sample(omega), t0=0, t1=T - 1)
 
 
+def _engines(boundaries, T, hrw, interaction, m, window):
+    """Engines for ``boundaries`` on one window, sharing one increment matrix and bond matrices."""
+    kernel = None
+    for b in boundaries:
+        eng = GrandCouplingEngine(b, T, hrw, interaction, m, window)
+        kernel = kernel or (eng.gmat, eng._emats)
+        eng.gmat, eng._emats = kernel
+        yield eng
+
+
 def coupled_gaps(
     b_low: BoundaryTriple,
     b_high: BoundaryTriple,
@@ -496,8 +529,7 @@ def coupled_gaps(
         if not np.all(lo_v <= hi_v):
             raise ValueError(f"boundary data not ordered in {name}")
     window = default_window([b_low, b_high], T, hrw)
-    eng_lo = GrandCouplingEngine(b_low, T, hrw, interaction, m, window)
-    eng_hi = GrandCouplingEngine(b_high, T, hrw, interaction, m, window)
+    eng_lo, eng_hi = _engines([b_low, b_high], T, hrw, interaction, m, window)
     gaps = (eng_lo.sample(omega) - eng_hi.sample(omega)).max(axis=(1, 2))
     return gaps, 1e-8 * (window[1] - window[0])
 
@@ -552,12 +584,10 @@ def continuity_check(
         raise ValueError("delta must be nonnegative")
     deltas = [delta / 2**i for i in range(halvings + 1)]
     window = default_window([boundary, boundary.shifted(delta)], T, hrw)
-    base = GrandCouplingEngine(boundary, T, hrw, interaction, m, window).sample(omega)
+    engines = _engines([boundary, *map(boundary.shifted, deltas)], T, hrw, interaction, m, window)
+    base = next(engines).sample(omega)
     report = StatReport(meta={"grid_m": m, "k": k, "T": T})
-    for i, d in enumerate(deltas):
-        moved = GrandCouplingEngine(
-            boundary.shifted(d), T, hrw, interaction, m, window
-        ).sample(omega)
-        report.add(f"sup_change_delta_{i}", float(np.abs(moved - base).max()))
+    for i, (d, engine) in enumerate(zip(deltas, engines)):
+        report.add(f"sup_change_delta_{i}", float(np.abs(engine.sample(omega) - base).max()))
         report.meta[f"delta_{i}"] = d
     return report

@@ -428,6 +428,116 @@ class TestBondMatrices:
         assert np.array_equal(eng._emat(2), eng._w(2, eng.grid[None, :] - eng.grid[:, None]))
 
 
+def _untrimmed(monkeypatch):
+    """Route every product over the full grid, as for per-draw stacks."""
+    contract = cp._contract
+    monkeypatch.setattr(cp, "_contract", lambda x, mat, axis, shared=False: contract(x, mat, axis))
+    monkeypatch.setattr(cp, "_span", lambda nonzero: slice(None))
+
+
+def _stack(support, n_axes, m, rng):
+    """A flushed one-draw stack whose nonzero entries span ``support``."""
+    x = np.zeros((1,) + (m,) * n_axes)
+    if support == "box":  # a random box, entries over 300 decades, some zeros inside
+        box = (0,) + tuple(slice(*np.sort(rng.choice(m + 1, 2, replace=False))) for _ in range(n_axes))
+        vals = 10.0 ** rng.uniform(-300.0, 0.0, x[box].shape)
+        x[box] = np.where(rng.uniform(size=vals.shape) < 0.2, 0.0, vals)
+    elif support == "full-width":
+        x[0] = rng.uniform(0.5, 1.0, x.shape[1:])
+    elif support == "one-entry":
+        x[(0,) + tuple(rng.integers(m, size=n_axes))] = 0.7
+    else:  # one nonzero row of the first grid axis
+        x[0, m // 3] = rng.uniform(size=x.shape[2:])
+    return cp._flush(x)
+
+
+class TestNonzeroBox:
+    @pytest.mark.parametrize("support", ["box", "full-width", "one-entry", "one-row"])
+    @pytest.mark.parametrize("n_axes,m", [(1, 256), (2, 256), (3, 64)])
+    def test_box_contraction_is_the_full_contraction(self, n_axes, m, support):
+        rng = np.random.default_rng(20 + n_axes)
+        gmat = cp._increment_matrix(HRW, np.linspace(-30.0, 15.0, m))
+        for trial in range(4):
+            x = _stack(support, n_axes, m, rng)
+            for axis in range(n_axes):
+                full = cp._contract(x.copy(), gmat, axis)
+                assert np.array_equal(cp._contract(x.copy(), gmat, axis, shared=True), full)
+
+    @pytest.mark.parametrize("k,T,n_draws", [(1, 8, 20), (2, 8, 20), (3, 4, 6)])
+    def test_engine_draws_match_untrimmed_route(self, k, T, n_draws, monkeypatch):
+        b = cp.BoundaryTriple([-2.0 * i for i in range(k)], [0.5 - 2.0 * i for i in range(k)],
+                              [-2.0 * k] * T)
+        omega = np.random.default_rng(30 + k).uniform(size=(n_draws, k * (T - 2)))
+        trimmed = cp.GrandCouplingEngine(b, T, HRW).sample(omega)
+        _untrimmed(monkeypatch)
+        assert np.array_equal(cp.GrandCouplingEngine(b, T, HRW).sample(omega), trimmed)
+
+    def test_couple_configuration_matches_untrimmed_route(self, monkeypatch):
+        # `gibbslines couple --k 2 --t 16 --raise-by 0.5`, 50 draws
+        T = 16
+        b = cp.BoundaryTriple([0.0, -2.0], [0.0, -2.0], [-4.0] * T)
+        pair = (b, b.shifted(0.5))
+        window = cp.default_window(pair, T, HRW)
+        omega = np.random.default_rng(31).uniform(size=(50, 2 * (T - 2)))
+
+        def draws():
+            return [cp.GrandCouplingEngine(c, T, HRW, None, 256, window).sample(omega) for c in pair]
+
+        trimmed = draws()
+        _untrimmed(monkeypatch)
+        for got, want in zip(draws(), trimmed):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [512, 1024])
+    def test_larger_grids_within_per_draw_bound(self, m, monkeypatch):
+        # past m = 256 a trimmed sum can round in other blocks: ulps, not bits
+        T = 6
+        b = cp.BoundaryTriple([0.0, -2.0], [0.5, -1.5], [-4.0] * T)
+        spec = _ladder(2, T, gb.InteractionSpec.exp(0, T), g=[-3.5] * (T + 1))
+        omega = np.random.default_rng(32).uniform(size=(10, 2 * (T - 2)))
+        draws = cp.GrandCouplingEngine(b, T, HRW, m=m).sample(omega)
+        log_z = cp.log_partition(spec, m)
+        _untrimmed(monkeypatch)
+        assert np.max(np.abs(cp.GrandCouplingEngine(b, T, HRW, m=m).sample(omega) - draws)) <= 1e-12
+        assert cp.log_partition(spec, m) == pytest.approx(log_z, rel=1e-12)
+
+
+class TestOneKernelPerWindow:
+    def test_engines_on_one_window_share_their_matrices(self):
+        T = 6
+        boundaries = [cp.BoundaryTriple([0.0, -2.0], [0.5, -1.5], [-4.0] * T).shifted(d)
+                      for d in (0.0, 0.25, 0.5)]
+        window = cp.default_window(boundaries, T, HRW)
+        omega = np.random.default_rng(33).uniform(size=(8, 2 * (T - 2)))
+        engines = list(cp._engines(boundaries, T, HRW, None, 256, window))
+        for eng, b in zip(engines, boundaries):
+            assert eng.gmat is engines[0].gmat and eng._emats is engines[0]._emats
+            alone = cp.GrandCouplingEngine(b, T, HRW, None, 256, window)
+            assert np.array_equal(eng.sample(omega), alone.sample(omega))
+        assert len(engines[0]._emats) == 1
+
+    def test_checks_build_one_increment_matrix(self, monkeypatch):
+        T = 6
+        b = cp.BoundaryTriple([0.0, -2.0], [0.5, -1.5], [-4.0] * T)
+        window = cp.default_window([b, b.shifted(0.5)], T, HRW)
+        omega = np.random.default_rng(34).uniform(size=(8, 2 * (T - 2)))
+
+        def alone(c, om):
+            return cp.GrandCouplingEngine(c, T, HRW, None, 256, window).sample(om)
+
+        want_gaps = (alone(b, omega) - alone(b.shifted(0.5), omega)).max(axis=(1, 2))
+        want_changes = [float(np.abs(alone(b.shifted(d), omega[0]) - alone(b, omega[0])).max())
+                        for d in (0.5, 0.25, 0.125)]
+        built = []
+        increment_matrix = cp._increment_matrix
+        monkeypatch.setattr(cp, "_increment_matrix", lambda *a: built.append(a) or increment_matrix(*a))
+        gaps, _ = cp.coupled_gaps(b, b.shifted(0.5), omega, T, HRW, None, 256)
+        assert len(built) == 1 and np.array_equal(gaps, want_gaps)
+        rep = cp.continuity_check(b, 0.5, omega[0], 2, T, HRW, halvings=2)
+        assert len(built) == 2
+        assert [rep[f"sup_change_delta_{i}"][0] for i in range(3)] == want_changes
+
+
 def _ladder(k, T, interaction, hrw=HRW, f=None, g=None):
     x = [-1.5 * i for i in range(k)]
     y = [0.5 - 1.5 * i for i in range(k)]
