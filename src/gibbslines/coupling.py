@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -134,39 +134,64 @@ def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (padded.reshape(-1, BLOCK_ROWS, size) @ mat).reshape(padded.shape[0], -1)[:n]
 
 
-def _span(nonzero: np.ndarray) -> slice:
-    """A 1-d mask's True entries, their ends rounded out to ``BOX_QUANTUM``."""
+def _span(nonzero: np.ndarray, start: int = 0) -> slice:
+    """Grid indices of the True entries of a mask of the points from ``start``
+    on (a multiple of ``BOX_QUANTUM``), their ends rounded out to it."""
     idx = np.flatnonzero(nonzero)
     lo, hi = (idx[0], idx[-1] + 1) if idx.size else (0, 1)
-    return slice(lo - lo % BOX_QUANTUM, min(hi - hi % -BOX_QUANTUM, nonzero.size))
+    return slice(start + lo - lo % BOX_QUANTUM, start + min(hi - hi % -BOX_QUANTUM, nonzero.size))
 
 
-def _contract(x: np.ndarray, mat: np.ndarray, axis: int, shared: bool = False) -> np.ndarray:
+def _buffer(bufs: list | None, shape: tuple) -> np.ndarray | None:
+    """A ``shape`` view at the front of the other of two reused flat buffers,
+    which never holds the input; None (a fresh output) without buffers."""
+    if bufs is None:
+        return None
+    bufs.reverse()
+    return bufs[0][: math.prod(shape)].reshape(shape)
+
+
+def _contract(x: np.ndarray, mat: np.ndarray, axis: int, bufs: list | None = None) -> np.ndarray:
     """out[.., A, ..] = sum_a x[.., a, ..] mat[a, A] over grid axis ``axis``
     of a stack of grid functions (draws first), which callers ``_flush``.
 
     A stack with one grid axis is a ``_row_products`` call; on more axes every
-    product is a per-draw ``matmul`` of the same shape.  Either way a draw's
-    result does not depend on which other draws share its stack.  A shared
-    (one-draw) stack skips exact zeros, summing each axis's ``_span`` into the
-    columns of the square ``mat`` it reaches; the result overwrites ``x``.
+    product is a per-draw ``matmul`` of the same shape, into ``_buffer(bufs)``.
+    Either way a draw's result does not depend on which other draws share its
+    stack.
     """
-    if shared:
-        nonzero, axes = x[0] != 0.0, range(x.ndim - 1)
-        box = [slice(None)] + [_span(nonzero.any(tuple(a for a in axes if a != i))) for i in axes]
-        out = box[: axis + 1] + [_span(mat[box[axis + 1]].any(axis=0))] + box[axis + 2 :]
-        prod = _contract(x[tuple(box)], mat[box[axis + 1], out[axis + 1]], axis)
-        x.fill(0.0)
-        x[tuple(out)] = prod
-        return x
     n_draws, dims = x.shape[0], x.shape[1:]
     shape = x.shape[: axis + 1] + mat.shape[1:] + x.shape[axis + 2 :]
     if len(dims) == 1:
         return _row_products(x, mat)
     if axis == len(dims) - 1:
-        return (x.reshape(n_draws, -1, dims[axis]) @ mat).reshape(shape)
-    lead = int(np.prod(dims[:axis]))
-    return (mat.T @ x.reshape(n_draws, lead, dims[axis], -1)).reshape(shape)
+        rows = x.reshape(n_draws, -1, dims[axis])
+        out = _buffer(bufs, rows.shape[:2] + mat.shape[1:])
+        return np.matmul(rows, mat, out=out).reshape(shape)
+    cols = x.reshape(n_draws, int(np.prod(dims[:axis])), dims[axis], -1)
+    out = _buffer(bufs, cols.shape[:2] + mat.shape[1:] + cols.shape[3:])
+    return np.matmul(mat.T, cols, out=out).reshape(shape)
+
+
+def _contract_box(x: np.ndarray, box: tuple, mat: np.ndarray, axis: int, bufs: list):
+    """``_contract`` of a one-draw stack that holds the grid ``box`` (slices,
+    draws first) and is zero elsewhere, skipping exact zeros: each grid axis
+    over its nonzero ``_span``, into the columns of the square ``mat`` that
+    the contracted span reaches.  Returns the product and its box."""
+    nonzero, axes = x[0] != 0.0, range(x.ndim - 1)
+    spans = [_span(nonzero.any(tuple(a for a in axes if a != i)), box[i + 1].start) for i in axes]
+    inner = tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(spans, box[1:]))
+    rows = spans[axis]
+    spans[axis] = _span(mat[rows].any(axis=0))
+    prod = _contract(x[(slice(None),) + inner], mat[rows, spans[axis]], axis, bufs)
+    return prod, (slice(None), *spans)
+
+
+def _expanded(alpha: np.ndarray, box: tuple, m: int) -> np.ndarray:
+    """The whole-grid stack of a stack held over ``box``, zero outside it."""
+    full = np.zeros(alpha.shape[:1] + (m,) * (alpha.ndim - 1))
+    full[box] = alpha
+    return full
 
 
 def _on_axes(mat: np.ndarray, axis: int, n_axes: int) -> np.ndarray:
@@ -230,38 +255,50 @@ class _Transfer:
             self._emats[h] = self._w(j, self.grid[None, :] - self.grid[:, None])
         return self._emats[h]
 
-    def forward(self, x, below: np.ndarray, above=None, scale=1.0):
-        """Yield (alpha_j, peaks) for the interior columns j = 1..n of the
-        free rows entering at ``x`` (top to bottom): alpha_j, of shape
-        (draws,) + (m,)*len(x), divided by its per-draw ``peaks`` and flushed
-        below ``TINY``.  ``below`` (n+2 values shared by every draw, or draws
-        x (n+2); -inf allowed) pins the row under the free rows, ``above``
-        (n+2 values; +inf entries, whose bond factor is exactly 1, skipped)
-        the row over them.  The bond-0 factor to ``below`` has a constant
-        argument, so it drops out of every normalized conditional; the
-        partition function passes it as ``scale``, a factor of the first column.
+    def _bonds(self, below: np.ndarray) -> list[np.ndarray]:
+        """Bond weights exp(-H_j(below_{j+1} - grid)), j = 1..n, to a row pinned
+        at ``below`` (n+2 values for every draw, or draws x (n+2); -inf allowed)."""
+        grid = self.grid
+        return [self._w(j, below[..., j + 1, None] - grid) for j in range(1, below.shape[-1] - 1)]
+
+    def forward(self, x, bonds: list, above=None, scale=1.0):
+        """Yield (alpha_j, box, peaks) for the interior columns j = 1..n of
+        the free rows entering at ``x`` (top to bottom): alpha_j, a stack over
+        draws of grid functions (m,)*len(x) divided by its per-draw ``peaks``
+        and flushed below ``TINY``, holds the grid ``box`` (slices, draws
+        first) and is zero elsewhere: a one-draw stack (shared ``bonds``) on
+        two or more grid axes keeps only its nonzero box, in two reused
+        buffers.  ``bonds`` (``_bonds``) pins the row under the free rows,
+        ``above`` (n+2 values; +inf entries, whose bond factor is exactly 1,
+        skipped) the row over them.  The bond-0 factor to the row below has a
+        constant argument, so it drops out of every normalized conditional;
+        the partition function passes it as ``scale``, a factor of column 1.
         """
-        grid, p = self.grid, len(x)
-        alpha = self._g(grid - x[0])
+        grid, p, m, n = self.grid, len(x), self.grid.size, len(bonds)
+        bufs = [np.empty(m**p), np.empty(m**p)] if p > 1 and n and bonds[0].ndim == 1 else None
+        top = self._g(grid - x[0])
         if above is not None and above[0] != np.inf:
-            alpha = alpha * self._w(0, grid - above[0])
-        alpha = alpha * scale
-        for i in range(1, p):
-            alpha = np.multiply.outer(alpha, self._g(grid - x[i]) * self._w(0, grid - x[i - 1]))
-        alpha = alpha[None]
-        n = below.shape[-1] - 2
+            top = top * self._w(0, grid - above[0])
+        factors = [top * scale]
+        factors += [self._g(grid - x[i]) * self._w(0, grid - x[i - 1]) for i in range(1, p)]
+        box = (slice(None),) + tuple(_span(f != 0.0) if bufs else slice(0, m) for f in factors)
+        alpha = reduce(np.multiply.outer, [f[span] for f, span in zip(factors, box[1:])])[None]
         for j in range(1, n + 1):
             alpha, peaks = _rescaled(alpha)
-            yield alpha, peaks
+            yield alpha, box, peaks
             if j == n:
                 return
-            alpha = alpha * _on_last_axis(self._w(j, below[..., j + 1, None] - grid), p)
+            w = _on_last_axis(bonds[j - 1][..., box[-1]], p)
+            alpha = np.multiply(alpha, w, out=_buffer(bufs, alpha.shape))
             for i in range(p - 1, -1, -1):
-                alpha = _contract(_flush(alpha), self.gmat, i, below.ndim == 1 and p > 1)
+                if bufs is None:
+                    alpha = _contract(_flush(alpha), self.gmat, i)
+                else:
+                    alpha, box = _contract_box(_flush(alpha), box, self.gmat, i, bufs)
                 if i:
-                    alpha *= _on_axes(self._emat(j), i - 1, p)
+                    alpha *= _on_axes(self._emat(j)[box[i], box[i + 1]], i - 1, p)
                 elif above is not None and above[j] != np.inf:
-                    alpha *= self._w(j, grid - above[j]).reshape((1, -1) + (1,) * (p - 1))
+                    alpha *= self._w(j, grid[box[1]] - above[j]).reshape((1, -1) + (1,) * (p - 1))
 
 
 def log_partition(spec: EnsembleSpec, m: int = DEFAULT_COUPLING_GRID_M) -> float:
@@ -306,13 +343,13 @@ def _log_sweep(spec: EnsembleSpec, sweep: _Transfer, rows: list) -> float:
             f"partition sweep over {grid.size}^{k} grid states exceeds {MAX_SWEEP_STATES}"
         )
     log_z = k * (T - 1) * math.log(grid[1] - grid[0])
-    columns = sweep.forward(x, g, f, sweep._w(0, g[1] - x[-1]))
+    columns = sweep.forward(x, sweep._bonds(g), f, sweep._w(0, g[1] - x[-1]))
     for _ in range(T - 2):  # hold no column while the sweep builds the next one
-        log_z += math.log(next(columns)[1][0])
-    alpha, peak = next(columns)
+        log_z += math.log(next(columns)[2][0])
+    alpha, box, peak = next(columns)
     log_z += math.log(peak[0])
-    # exit column T, pinned at y, through bond T - 1
-    total = alpha[0]
+    # exit column T, pinned at y, through bond T - 1, over the whole grid
+    total = _expanded(alpha, box, grid.size)[0]
     for i in range(k - 1, -1, -1):
         below = y[i + 1] if i < k - 1 else g[T]
         total = total @ (sweep._g(y[i] - grid) * sweep._w(T - 1, below - grid))
@@ -357,18 +394,17 @@ class GrandCouplingEngine(_Transfer):
         self.lo, self.hi = window
         self.m = m
         super().__init__(hrw, interaction, np.linspace(self.lo, self.hi, m), 0)
-        self._bottom_alphas: list[np.ndarray] | None = None
+        self._bottom_alphas: list[tuple] | None = None
 
-    def _alphas(self, p1: int, below: np.ndarray) -> list[np.ndarray]:
-        """alpha_j for j = 1..n, each of shape (draws,) + (m,)*p1, with rows
-        1..p1 free and the row below pinned at ``below`` (T values shared by
-        every draw, or draws x T; -inf allowed)."""
-        return [alpha for alpha, _ in self.forward(self.boundary.x_vec[:p1], below)]
+    def _alphas(self, p1: int, bonds: list) -> list[tuple]:
+        """(alpha_j, box) for j = 1..n as ``forward`` yields them, with rows
+        1..p1 free over the row whose bond weights are ``bonds``."""
+        return [(alpha, box) for alpha, box, _ in self.forward(self.boundary.x_vec[:p1], bonds)]
 
-    def bottom_alphas(self) -> list[np.ndarray]:
+    def bottom_alphas(self) -> list[tuple]:
+        """The bottom row's (alpha_j, box), shared by every draw, each stored over its box."""
         if self._bottom_alphas is None:
-            z = np.asarray(self.boundary.z_vec)
-            self._bottom_alphas = self._alphas(self.k, z)
+            self._bottom_alphas = self._alphas(self.k, self._bonds(np.asarray(self.boundary.z_vec)))
         return self._bottom_alphas
 
     # -- backward (pinned-row) transfer functions --------------------------
@@ -384,59 +420,48 @@ class GrandCouplingEngine(_Transfer):
             )
         return _rescaled(beta[None])[0]
 
-    def _beta_step(self, beta: np.ndarray, j: int, s_right: np.ndarray) -> np.ndarray:
-        """beta_j from beta_{j+1}: rows 1..p1-1 free, row p1 pinned at
-        s_right (one value per draw) = its value at column j+1."""
+    def _beta_step(self, beta: np.ndarray, j: int, bond: np.ndarray) -> np.ndarray:
+        """beta_j from beta_{j+1}: rows 1..p1-1 free, row p1 pinned at its
+        values at column j+1, whose bond-j weights (draws x m) are ``bond``."""
         q = beta.ndim - 1
         nxt = beta
         for i in range(q):
             if i:
                 nxt = nxt * _on_axes(self._emat(j), i - 1, q)
             nxt = _contract(_flush(nxt), self.gmat.T, i)
-        return _rescaled(nxt * _on_last_axis(self._w(j, s_right[:, None] - self.grid), q))[0]
+        return _rescaled(nxt * _on_last_axis(bond, q))[0]
 
     # -- site conditionals --------------------------------------------------
     def _site_values(
-        self, p1: int, p2: int, alpha, beta, s_right: np.ndarray, below_right: np.ndarray
+        self, p1: int, p2: int, alpha, box, beta, s_right: np.ndarray, bond: np.ndarray
     ) -> np.ndarray:
         """Unnormalized conditional densities (draws x m) of the point
         (p1, p2) on the grid, peak 1 per draw.
 
-        ``alpha``  -- alpha_{p2} of row p1 (shared by every draw for p1 = k)
+        ``alpha``, ``box`` -- alpha_{p2} of row p1 and the grid box it holds
+        (shared by every draw for p1 = k)
         ``beta``   -- backward function at column p2 (None for p1 = 1)
         ``s_right``  -- values of row p1 at column p2+1 (exit value if p2 = n)
-        ``below_right`` -- values of row p1+1 at column p2+1 (bottom curve for
-        the lowest row)
+        ``bond`` -- weights of bond p2 to row p1+1 at column p2+1 (the bottom
+        curve for the lowest row): (m,) or draws x m
         """
-        grid = self.grid
-        u = self._g(s_right[:, None] - grid) * self._w(p2, below_right[:, None] - grid)
+        u = self._g(s_right[:, None] - self.grid) * bond
         if beta is None:
             vals = alpha * u
         else:
-            size = beta[0].size
-            rows = beta.reshape(beta.shape[0], size)
-            if p1 == self.k:  # the shared alpha, at k = 2 over its nonzero box
-                mat = alpha.reshape(size, -1)
-                r, c = (_span(mat.any(axis=a)) if p1 == 2 else slice(None) for a in (1, 0))
+            rows = beta.reshape(beta.shape[0], -1)
+            if p1 == 2 == self.k:  # the shared alpha over its box
                 joint = np.zeros((rows.shape[0], self.m))
-                joint[:, c] = _row_products(rows[:, r], mat[r, c])
+                joint[:, box[2]] = _row_products(rows[:, box[1]], alpha[0])
+            elif p1 == self.k:  # a sum over m^2 entries spans BLAS blocks: the whole grid
+                joint = _row_products(rows, _expanded(alpha, box, self.m).reshape(-1, self.m))
             else:
-                joint = (rows[:, None] @ alpha.reshape(alpha.shape[0], size, -1))[:, 0]
+                joint = (rows[:, None] @ alpha.reshape(alpha.shape[0], rows.shape[1], -1))[:, 0]
             vals = joint * u
         peak = vals.max(axis=1)
         if not np.all(peak > 0.0):
             raise PrecisionError("site conditional underflowed on the grid")
         return vals / peak[:, None]
-
-    def _row_start(self, p1: int, vals: np.ndarray):
-        """(values of the row below, alphas, exit-column beta) for row p1."""
-        if p1 == self.k:
-            below = np.asarray(self.boundary.z_vec)[None]
-            alphas = self.bottom_alphas()
-        else:
-            below = vals[:, p1]
-            alphas = self._alphas(p1, below)
-        return below, alphas, (self._beta_init(p1) if p1 > 1 else None)
 
     # -- sampling -----------------------------------------------------------
     def sample(self, omega: np.ndarray) -> np.ndarray:
@@ -467,17 +492,22 @@ class GrandCouplingEngine(_Transfer):
         return vals if omega.ndim == 2 else vals[0]
 
     def _fill(self, vals: np.ndarray, omega: np.ndarray) -> None:
-        n = self.n
+        n, grid, bonds = self.n, self.grid, self._bonds(np.asarray(self.boundary.z_vec))
         for p1 in range(self.k, 0, -1):
-            below, alphas, beta = self._row_start(p1, vals)
+            alphas = self.bottom_alphas() if p1 == self.k else self._alphas(p1, bonds)
+            beta = self._beta_init(p1) if p1 > 1 else None
+            # ``_bonds`` of this row for the row above, each built once, when its value is drawn
+            drawn = [None] * (n - 1) + [self._w(n, vals[:, p1 - 1, n + 1, None] - grid)]
             for p2 in range(n, 0, -1):
                 dens = self._site_values(
-                    p1, p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1]
+                    p1, p2, *alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], bonds[p2 - 1]
                 )
                 u = omega[:, (p1 - 1) * n + p2 - 1]
-                vals[:, p1 - 1, p2] = inverse_cdf_rows(self.grid, dens, u)
+                vals[:, p1 - 1, p2] = inverse_cdf_rows(grid, dens, u)
                 if beta is not None and p2 > 1:
-                    beta = self._beta_step(beta, p2 - 1, vals[:, p1 - 1, p2])
+                    drawn[p2 - 2] = self._w(p2 - 1, vals[:, p1 - 1, p2, None] - grid)
+                    beta = self._beta_step(beta, p2 - 1, drawn[p2 - 2])
+            bonds = drawn
 
 
 def grand_coupling_sample(

@@ -1,9 +1,12 @@
 import math
+import resource
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import partition_oracle
 import pytest
+import transfer_oracle
 
 from gibbslines import coupling as cp
 from gibbslines import gibbs as gb
@@ -64,11 +67,14 @@ def conditional_density(
     vals[0, :, -1] = boundary.y_vec
     for (i, j), v in fixed.items():
         vals[0, i - 1, j] = float(v)
-    below, alphas, beta = eng._row_start(p1, vals)
+    bonds = eng._bonds(np.asarray(boundary.z_vec) if p1 == eng.k else vals[:, p1])
+    alphas = eng.bottom_alphas() if p1 == eng.k else eng._alphas(p1, bonds)
+    beta = eng._beta_init(p1) if p1 > 1 else None
     if beta is not None:
+        own = eng._bonds(vals[:, p1 - 1])
         for j in range(eng.n, p2, -1):
-            beta = eng._beta_step(beta, j - 1, vals[:, p1 - 1, j])
-    dens = eng._site_values(p1, p2, alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], below[:, p2 + 1])
+            beta = eng._beta_step(beta, j - 1, own[j - 2])
+    dens = eng._site_values(p1, p2, *alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], bonds[p2 - 1])
     return GridDensity(lo=eng.lo, hi=eng.hi, values=dens[0]).normalized()
 
 
@@ -428,13 +434,6 @@ class TestBondMatrices:
         assert np.array_equal(eng._emat(2), eng._w(2, eng.grid[None, :] - eng.grid[:, None]))
 
 
-def _untrimmed(monkeypatch):
-    """Route every product over the full grid, as for per-draw stacks."""
-    contract = cp._contract
-    monkeypatch.setattr(cp, "_contract", lambda x, mat, axis, shared=False: contract(x, mat, axis))
-    monkeypatch.setattr(cp, "_span", lambda nonzero: slice(None))
-
-
 def _stack(support, n_axes, m, rng):
     """A flushed one-draw stack whose nonzero entries span ``support``."""
     x = np.zeros((1,) + (m,) * n_axes)
@@ -451,25 +450,47 @@ def _stack(support, n_axes, m, rng):
     return cp._flush(x)
 
 
+def _bottom_row_checks(eng):
+    """The engine's stored bottom-row alphas, expanded, equal the untrimmed
+    sweep's."""
+    bonds = eng._bonds(np.asarray(eng.boundary.z_vec))
+    want = [a for a, _, _ in transfer_oracle.forward(eng, eng.boundary.x_vec, bonds)]
+    got = eng.bottom_alphas()
+    assert len(got) == len(want)
+    for (alpha, box), full in zip(got, want):
+        assert np.array_equal(cp._expanded(alpha, box, eng.m), full)
+
+
 class TestNonzeroBox:
     @pytest.mark.parametrize("support", ["box", "full-width", "one-entry", "one-row"])
     @pytest.mark.parametrize("n_axes,m", [(1, 256), (2, 256), (3, 64)])
     def test_box_contraction_is_the_full_contraction(self, n_axes, m, support):
+        # from the whole grid, and from the stack held over its own box
         rng = np.random.default_rng(20 + n_axes)
         gmat = cp._increment_matrix(HRW, np.linspace(-30.0, 15.0, m))
+        whole = (slice(None),) + (slice(0, m),) * n_axes
         for trial in range(4):
             x = _stack(support, n_axes, m, rng)
+            nonzero, axes = x[0] != 0.0, range(n_axes)
+            held = (slice(None),) + tuple(
+                cp._span(nonzero.any(tuple(a for a in axes if a != i))) for i in axes
+            )
             for axis in range(n_axes):
-                full = cp._contract(x.copy(), gmat, axis)
-                assert np.array_equal(cp._contract(x.copy(), gmat, axis, shared=True), full)
+                full = transfer_oracle.contract(x.copy(), gmat, axis)
+                for box in (whole, held):
+                    bufs = [np.empty(m**n_axes), np.empty(m**n_axes)]
+                    prod, out = cp._contract_box(x[box].copy(), box, gmat, axis, bufs)
+                    assert np.array_equal(cp._expanded(prod, out, m), full)
 
     @pytest.mark.parametrize("k,T,n_draws", [(1, 8, 20), (2, 8, 20), (3, 4, 6)])
     def test_engine_draws_match_untrimmed_route(self, k, T, n_draws, monkeypatch):
         b = cp.BoundaryTriple([-2.0 * i for i in range(k)], [0.5 - 2.0 * i for i in range(k)],
                               [-2.0 * k] * T)
         omega = np.random.default_rng(30 + k).uniform(size=(n_draws, k * (T - 2)))
-        trimmed = cp.GrandCouplingEngine(b, T, HRW).sample(omega)
-        _untrimmed(monkeypatch)
+        eng = cp.GrandCouplingEngine(b, T, HRW)
+        _bottom_row_checks(eng)
+        trimmed = eng.sample(omega)
+        transfer_oracle.untrimmed(monkeypatch, cp)
         assert np.array_equal(cp.GrandCouplingEngine(b, T, HRW).sample(omega), trimmed)
 
     def test_couple_configuration_matches_untrimmed_route(self, monkeypatch):
@@ -480,13 +501,33 @@ class TestNonzeroBox:
         window = cp.default_window(pair, T, HRW)
         omega = np.random.default_rng(31).uniform(size=(50, 2 * (T - 2)))
 
-        def draws():
-            return [cp.GrandCouplingEngine(c, T, HRW, None, 256, window).sample(omega) for c in pair]
+        def engines():
+            return [cp.GrandCouplingEngine(c, T, HRW, None, 256, window) for c in pair]
 
-        trimmed = draws()
-        _untrimmed(monkeypatch)
-        for got, want in zip(draws(), trimmed):
-            assert np.array_equal(got, want)
+        trimmed = []
+        for eng in engines():
+            _bottom_row_checks(eng)
+            trimmed.append(eng.sample(omega))
+        transfer_oracle.untrimmed(monkeypatch, cp)
+        for eng, want in zip(engines(), trimmed):
+            assert np.array_equal(eng.sample(omega), want)
+
+    @pytest.mark.parametrize("k,m", [(2, 256), (3, 64)])
+    def test_log_partition_matches_untrimmed_route(self, k, m, monkeypatch):
+        T = 6
+        low = -1.5 * k - 0.5
+        bounds = dict(f=[1.2 + 0.1 * t for t in range(T + 1)], g=[low] * (T + 1))
+        tab = gb.Hamiltonian("tabulated", table_x=(-1.0, 0.0, 1.0, 2.0),
+                             table_values=(0.0, 0.5, 2.0, 4.5))
+        mixed = (tab, gb.Hamiltonian("exp")) * (T // 2)
+        specs = [
+            _ladder(k, T, gb.InteractionSpec.exp(0, T), **bounds),
+            _ladder(k, T, gb.InteractionSpec(0, T, (IDLE,) * T), **bounds),
+            _ladder(k, T, gb.InteractionSpec(0, T, mixed), **bounds),
+        ]
+        trimmed = [cp.log_partition(spec, m) for spec in specs]
+        transfer_oracle.untrimmed(monkeypatch, cp)
+        assert [cp.log_partition(spec, m) for spec in specs] == trimmed
 
     @pytest.mark.parametrize("m", [512, 1024])
     def test_larger_grids_within_per_draw_bound(self, m, monkeypatch):
@@ -497,9 +538,33 @@ class TestNonzeroBox:
         omega = np.random.default_rng(32).uniform(size=(10, 2 * (T - 2)))
         draws = cp.GrandCouplingEngine(b, T, HRW, m=m).sample(omega)
         log_z = cp.log_partition(spec, m)
-        _untrimmed(monkeypatch)
+        transfer_oracle.untrimmed(monkeypatch, cp)
         assert np.max(np.abs(cp.GrandCouplingEngine(b, T, HRW, m=m).sample(omega) - draws)) <= 1e-12
         assert cp.log_partition(spec, m) == pytest.approx(log_z, rel=1e-12)
+
+    def test_bottom_row_sweep_allocates_its_boxes_and_a_few_buffers(self, capsys):
+        # the `couple` configuration: the stored boxes, two reused m^k buffers
+        # and smaller temporaries; alphas stored whole, or one more m^k array
+        # alive beside the buffers, exceed the bound
+        T, m = 16, 256
+        b = cp.BoundaryTriple([0.0, -2.0], [0.0, -2.0], [-4.0] * T)
+        window = cp.default_window((b, b.shifted(0.5)), T, HRW)
+        eng = cp.GrandCouplingEngine(b, T, HRW, None, m, window)
+        eng.gmat, eng._emat(1)  # the kernel is built outside the sweep
+        tracemalloc.start()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            alphas = eng.bottom_alphas()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        stored = sum(alpha.nbytes for alpha, _ in alphas)
+        assert stored < 0.6 * len(alphas) * m * m * 8
+        assert peak <= stored + 3 * m * m * 8
+        with capsys.disabled():  # page faults vary by host: reported, not asserted
+            print(f"\nbottom-row sweep: peak {peak / 1e6:.2f} MB, stored {stored / 1e6:.2f} MB, "
+                  f"{faults} page faults")
 
 
 class TestOneKernelPerWindow:
