@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaincc, ndtri
 
 from .errors import PrecisionError, ResourceLimitError
@@ -175,6 +174,8 @@ def hrw_density(hrw: HrwSpec, m: int = DEFAULT_GRID_M) -> GridDensity:
 
 
 def _convolve(a: GridDensity, b: GridDensity) -> GridDensity:
+    from scipy.fft import irfft, next_fast_len, rfft  # loaded by the first n-step table
+
     if abs(a.step - b.step) > 1e-12 * a.step:
         raise ValueError("convolution requires identical grid spacing")
     # the full linear convolution by real FFT, zero-padded to a fast length

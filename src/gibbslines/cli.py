@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +92,8 @@ def _task_rng(master_seed: int, index: int) -> np.random.Generator:
 def _map_tasks(fn, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from multiprocessing import Pool  # loaded only by runs with workers
+
     with Pool(processes=workers) as pool:
         return pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * workers)))
 
@@ -222,25 +223,37 @@ def run_ensemble(cfg: RunConfig) -> list[str]:
 
 # ----------------------------------------------------------------- couple --
 
+def _couple_task(payload):
+    """Both boundary data of a `couple` run on the draws of a contiguous chunk
+    of sample indices, sample i reading its own stream ``_task_rng(seed, i)``:
+    (per-draw gaps, eps_grid).  Every chunk builds its engines on the same
+    window, and a draw does not depend on its batch."""
+    cfg, b_low, b_high, indices = payload
+    k, T = cfg.k, cfg.t
+    omega = np.array([_task_rng(cfg.seed, int(i)).uniform(size=k * (T - 2)) for i in indices])
+    hrw = bridge_mod.HrwSpec.log_gamma(cfg.theta)
+    m = cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M
+    return coupling_mod.coupled_gaps(
+        b_low, b_high, omega.reshape(len(indices), k * (T - 2)), T, hrw, None, m
+    )
+
+
 def run_couple(cfg: RunConfig) -> list[str]:
     k, T = cfg.k, cfg.t
     x = [-cfg.spread * i for i in range(k)]
     b_low = coupling_mod.BoundaryTriple(x, x, [-cfg.spread * k] * T)
-    hrw = bridge_mod.HrwSpec.log_gamma(cfg.theta)
-    m = cfg.grid if cfg.grid else coupling_mod.DEFAULT_COUPLING_GRID_M
-    omega = np.array(
-        [_task_rng(cfg.seed, i).uniform(size=k * (T - 2)) for i in range(cfg.samples)]
-    ).reshape(cfg.samples, k * (T - 2))
-    # a negative, NaN or infinite --raise-by is refused as unordered or non-finite data
-    gaps, eps_grid = coupling_mod.coupled_gaps(
-        b_low, b_low.shifted(cfg.raise_by), omega, T, hrw, None, m
-    )
+    # a NaN or infinite --raise-by is refused here as non-finite data, a
+    # negative one by ``coupled_gaps`` as unordered data
+    b_high = b_low.shifted(cfg.raise_by)
+    chunks = np.array_split(np.arange(cfg.samples), min(cfg.workers, max(cfg.samples, 1)))
+    results = _map_tasks(_couple_task, [(cfg, b_low, b_high, c) for c in chunks], cfg.workers)
+    gaps = np.concatenate([r[0] for r in results])
     rows = [(i, float(v)) for i, v in enumerate(gaps)]
     summary = {
         "max_violation": float(gaps.max(initial=0.0)),
         "n_draws": cfg.samples,
-        "grid_m": m,
-        "eps_grid": eps_grid,
+        "grid_m": cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M,
+        "eps_grid": results[0][1],
     }
     return _emit(cfg, rows, ["sample", "violation"], summary)
 

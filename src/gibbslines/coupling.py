@@ -46,6 +46,8 @@ TINY = 1e-150  # operand entries below TINY times their peak are zeroed: product
 PAD_SIGMAS = 8.0  # free-walk standard deviations padding a grid window
 BLOCK_ROWS = 4  # rows per gemm of a vector x matrix product: the fastest of 2-32 at m = 256
 BOX_QUANTUM = 16  # nonzero boxes start and end on multiples of this, as the full gemm's tiles do
+BAND_COLS = 32  # output columns per banded product: the fastest of 32-128 at m = 256
+WHOLE = ((slice(None), slice(None)),)  # the band of a dense matrix: one block, every row
 
 
 @dataclass(frozen=True)
@@ -122,38 +124,86 @@ def _increment_matrix(hrw: HrwSpec, grid: np.ndarray) -> np.ndarray:
         return _flush(np.exp(hrw.log_g(grid[None, :] - grid[:, None]))[None])[0]
 
 
-def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _row_products(rows: np.ndarray, mat: np.ndarray, band=WHOLE) -> np.ndarray:
     """rows (n, K) @ mat (K, N) as gemms of ``BLOCK_ROWS`` rows, the last block
-    padded with zero rows.  Every call has the same shape whatever n, so a
-    row's result does not depend on the rows beside it (a stacked
-    (n, 1, K) @ (K, N) would be n gemv calls; one (n, K) gemm would change its
-    blocking with n)."""
+    padded with zero rows, one per block of ``band`` (``_band``) over its
+    rows.  Every call has the same shapes whatever n, so a row's result does
+    not depend on the rows beside it (a stacked (n, 1, K) @ (K, N) would be n
+    gemv calls; one (n, K) gemm would change its blocking with n)."""
     n, size = rows.shape
-    padded = np.zeros((-(-n // BLOCK_ROWS) * BLOCK_ROWS, size))
-    padded[:n] = rows
-    return (padded.reshape(-1, BLOCK_ROWS, size) @ mat).reshape(padded.shape[0], -1)[:n]
+    padded = np.zeros((-(-n // BLOCK_ROWS), BLOCK_ROWS, size))
+    padded.reshape(-1, size)[:n] = rows
+    out = np.empty(padded.shape[:2] + mat.shape[1:])
+    for cols, kept in band:
+        np.matmul(padded[..., kept], mat[kept, cols], out=out[..., cols])
+    return out.reshape(-1, mat.shape[1])[:n]
+
+
+def _band(nonzero: np.ndarray, width: int = BAND_COLS) -> list[tuple[slice, slice]]:
+    """The band of a matrix whose nonzero entries are ``nonzero``: for each
+    block of ``width`` columns, (its columns, the ``_span`` of the rows
+    holding its nonzeros, empty if none does).  A product over each block's
+    rows only skips exact zeros of the matrix."""
+    m = nonzero.shape[1]
+    held = (nonzero[:, c : c + width].any(axis=1) for c in range(0, m, width))
+    return _merged(
+        (slice(c, min(c + width, m)), _span(rows) if rows.any() else slice(0, 0))
+        for c, rows in zip(range(0, m, width), held)
+    )
+
+
+def _bands(mat: np.ndarray) -> tuple[list, list, list]:
+    """The ``_band`` of ``mat`` and of ``mat.T``, and the reach of ``mat``:
+    the ``_span`` of the columns that each ``BOX_QUANTUM`` rows hold."""
+    nonzero = mat != 0.0
+    return _band(nonzero), _band(nonzero.T), _band(nonzero.T, BOX_QUANTUM)
+
+
+def _merged(blocks) -> list[tuple[slice, slice]]:
+    """(columns, rows) blocks with each run of neighbours over the same rows
+    joined into one: one product where a split would only repeat its work."""
+    out = []
+    for cols, rows in blocks:
+        if out and out[-1][1] == rows:
+            cols = slice(out.pop()[0].start, cols.stop)
+        out.append((cols, rows))
+    return out
 
 
 def _span(nonzero: np.ndarray, start: int = 0) -> slice:
     """Grid indices of the True entries of a mask of the points from ``start``
     on (a multiple of ``BOX_QUANTUM``), their ends rounded out to it."""
     idx = np.flatnonzero(nonzero)
-    lo, hi = (idx[0], idx[-1] + 1) if idx.size else (0, 1)
+    lo, hi = (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 1)
     return slice(start + lo - lo % BOX_QUANTUM, start + min(hi - hi % -BOX_QUANTUM, nonzero.size))
 
 
-def _buffer(bufs: list | None, shape: tuple) -> np.ndarray | None:
+def _site_span(dens: np.ndarray) -> slice:
+    """Grid columns holding the nonzero values of the site densities ``dens``
+    (draws x m) and one zero column beyond them on each side, where the grid
+    has one, with ends on ``BOX_QUANTUM``.  The trapezoid CDF is 0 up to the
+    first of them and the total from the last on, so an inverse-CDF draw
+    over them (on the whole grid's step) is the whole grid's, bit for bit."""
+    nonzero = dens.any(axis=0)
+    nonzero[1:] |= nonzero[:-1]
+    nonzero[:-1] |= nonzero[1:]
+    return _span(nonzero)
+
+
+def _buffer(bufs: list | None, shape: tuple) -> np.ndarray:
     """A ``shape`` view at the front of the other of two reused flat buffers,
-    which never holds the input; None (a fresh output) without buffers."""
+    which never holds the input; a fresh array without buffers."""
     if bufs is None:
-        return None
+        return np.empty(shape)
     bufs.reverse()
     return bufs[0][: math.prod(shape)].reshape(shape)
 
 
-def _contract(x: np.ndarray, mat: np.ndarray, axis: int, bufs: list | None = None) -> np.ndarray:
+def _contract(x: np.ndarray, mat: np.ndarray, axis: int, band=WHOLE, bufs=None) -> np.ndarray:
     """out[.., A, ..] = sum_a x[.., a, ..] mat[a, A] over grid axis ``axis``
-    of a stack of grid functions (draws first), which callers ``_flush``.
+    of a stack of grid functions (draws first), which callers ``_flush``:
+    one product per block of ``band`` (``_band``; all of ``mat`` by default)
+    over its rows.
 
     A stack with one grid axis is a ``_row_products`` call; on more axes every
     product is a per-draw ``matmul`` of the same shape, into ``_buffer(bufs)``.
@@ -163,27 +213,53 @@ def _contract(x: np.ndarray, mat: np.ndarray, axis: int, bufs: list | None = Non
     n_draws, dims = x.shape[0], x.shape[1:]
     shape = x.shape[: axis + 1] + mat.shape[1:] + x.shape[axis + 2 :]
     if len(dims) == 1:
-        return _row_products(x, mat)
+        return _row_products(x, mat, band)
     if axis == len(dims) - 1:
         rows = x.reshape(n_draws, -1, dims[axis])
         out = _buffer(bufs, rows.shape[:2] + mat.shape[1:])
-        return np.matmul(rows, mat, out=out).reshape(shape)
-    cols = x.reshape(n_draws, int(np.prod(dims[:axis])), dims[axis], -1)
-    out = _buffer(bufs, cols.shape[:2] + mat.shape[1:] + cols.shape[3:])
-    return np.matmul(mat.T, cols, out=out).reshape(shape)
+        for cols, kept in band:
+            np.matmul(rows[..., kept], mat[kept, cols], out=out[..., cols])
+        return out.reshape(shape)
+    rows = x.reshape(n_draws, math.prod(dims[:axis]), dims[axis], -1)
+    out = _buffer(bufs, rows.shape[:2] + mat.shape[1:] + rows.shape[3:])
+    for cols, kept in band:
+        np.matmul(mat[kept, cols].T, rows[:, :, kept], out=out[:, :, cols])
+    return out.reshape(shape)
 
 
-def _contract_box(x: np.ndarray, box: tuple, mat: np.ndarray, axis: int, bufs: list):
+def _within(s: slice, span: slice) -> slice:
+    """The part of ``s`` inside ``span``, counted from ``span.start``; empty
+    when they do not meet (an empty contraction is a zero product)."""
+    lo = min(max(s.start, span.start), span.stop)
+    return slice(lo - span.start, max(min(s.stop, span.stop), lo) - span.start)
+
+
+def _contract_box(x: np.ndarray, box: tuple, mat: np.ndarray, bands: tuple, axis: int, bufs):
     """``_contract`` of a one-draw stack that holds the grid ``box`` (slices,
     draws first) and is zero elsewhere, skipping exact zeros: each grid axis
-    over its nonzero ``_span``, into the columns of the square ``mat`` that
-    the contracted span reaches.  Returns the product and its box."""
+    over its nonzero ``_span``, and the contracted one into the columns of
+    the square ``mat`` that the span reaches, one product per block of the
+    band of ``mat`` over the rows of the span that the block holds.
+    ``bands`` is ``_bands(mat)``.  Returns the product and its box."""
     nonzero, axes = x[0] != 0.0, range(x.ndim - 1)
     spans = [_span(nonzero.any(tuple(a for a in axes if a != i)), box[i + 1].start) for i in axes]
     inner = tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(spans, box[1:]))
     rows = spans[axis]
-    spans[axis] = _span(mat[rows].any(axis=0))
-    prod = _contract(x[(slice(None),) + inner], mat[rows, spans[axis]], axis, bufs)
+    reach = [r for c, r in bands[2] if c.start < rows.stop and rows.start < c.stop and r.stop > 0]
+    reach = reach or [slice(0, BOX_QUANTUM)]  # no nonzero reached: a zero product
+    out = spans[axis] = slice(min(r.start for r in reach), max(r.stop for r in reach))
+    sizes = [s.stop - s.start for s in spans]
+    if math.prod(sizes[:axis] if axis == len(sizes) - 1 else sizes[axis + 1 :]) > mat.shape[0]:
+        # each gemm's other operand spans more than one grid axis (the outer
+        # axes of three): a product per block would pack it once per block
+        band = WHOLE
+    else:  # the blocks within the reach, relative to the operands' spans
+        band = _merged(
+            (_within(c, out), _within(r, rows))
+            for c, r in bands[0]
+            if c.start < out.stop and out.start < c.stop
+        )
+    prod = _contract(x[(slice(None),) + inner], mat[rows, out], axis, band, bufs)
     return prod, (slice(None), *spans)
 
 
@@ -218,7 +294,9 @@ def _rescaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     peak = arr.reshape(arr.shape[0], -1).max(axis=1)
     if not np.all(peak > 0.0):
         raise PrecisionError("transfer function underflowed to zero mass")
-    return _flush(arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1))), peak
+    arr = arr / peak.reshape((-1,) + (1,) * (arr.ndim - 1))
+    np.copyto(arr, 0.0, where=arr < TINY)  # ``_flush``: each draw's peak is now exactly 1
+    return arr, peak
 
 
 class _Transfer:
@@ -237,6 +315,11 @@ class _Transfer:
     @cached_property
     def gmat(self) -> np.ndarray:
         return _increment_matrix(self.hrw, self.grid)
+
+    @cached_property
+    def bands(self) -> tuple[list, list, list]:
+        """``_bands(gmat)``; engines on one window share it with ``gmat``."""
+        return _bands(self.gmat)
 
     def _g(self, x) -> np.ndarray:
         """Increment density G(x)."""
@@ -268,14 +351,17 @@ class _Transfer:
         and flushed below ``TINY``, holds the grid ``box`` (slices, draws
         first) and is zero elsewhere: a one-draw stack (shared ``bonds``) on
         two or more grid axes keeps only its nonzero box, in two reused
-        buffers.  ``bonds`` (``_bonds``) pins the row under the free rows,
-        ``above`` (n+2 values; +inf entries, whose bond factor is exactly 1,
-        skipped) the row over them.  The bond-0 factor to the row below has a
-        constant argument, so it drops out of every normalized conditional;
-        the partition function passes it as ``scale``, a factor of column 1.
+        buffers.  Products with ``gmat`` run over its band (``bands``),
+        except on one shared row.  ``bonds`` (``_bonds``) pins the row under
+        the free rows, ``above`` (n+2 values; +inf entries, whose bond factor
+        is exactly 1, skipped) the row over them.  The bond-0 factor to the
+        row below has a constant argument, so it drops out of every
+        normalized conditional; the partition function passes it as
+        ``scale``, a factor of column 1.
         """
         grid, p, m, n = self.grid, len(x), self.grid.size, len(bonds)
-        bufs = [np.empty(m**p), np.empty(m**p)] if p > 1 and n and bonds[0].ndim == 1 else None
+        shared = n and bonds[0].ndim == 1
+        bufs = [np.empty(m**p), np.empty(m**p)] if p > 1 and shared else None
         top = self._g(grid - x[0])
         if above is not None and above[0] != np.inf:
             top = top * self._w(0, grid - above[0])
@@ -289,12 +375,18 @@ class _Transfer:
             if j == n:
                 return
             w = _on_last_axis(bonds[j - 1][..., box[-1]], p)
-            alpha = np.multiply(alpha, w, out=_buffer(bufs, alpha.shape))
+            if bufs is None:
+                alpha = alpha * w
+            else:
+                alpha = np.multiply(alpha, w, out=_buffer(bufs, alpha.shape))
             for i in range(p - 1, -1, -1):
-                if bufs is None:
-                    alpha = _contract(_flush(alpha), self.gmat, i)
+                if bufs is None:  # one shared row is one gemm: a gemm per band block costs more
+                    band = WHOLE if shared else self.bands[0]
+                    alpha = _contract(_flush(alpha), self.gmat, i, band)
                 else:
-                    alpha, box = _contract_box(_flush(alpha), box, self.gmat, i, bufs)
+                    alpha, box = _contract_box(
+                        _flush(alpha), box, self.gmat, self.bands, i, bufs
+                    )
                 if i:
                     alpha *= _on_axes(self._emat(j)[box[i], box[i + 1]], i - 1, p)
                 elif above is not None and above[j] != np.inf:
@@ -315,11 +407,23 @@ def log_partition(spec: EnsembleSpec, m: int = DEFAULT_COUPLING_GRID_M) -> float
     states and costs k m^(k+1) multiply-adds per column; more than
     ``MAX_SWEEP_STATES`` states raise ``ResourceLimitError``.
     """
+    return _log_partitions([spec], m)[0]
+
+
+def _log_partitions(specs: list, m: int) -> list[float]:
+    """``log_partition`` of each of ``specs``, which differ in their
+    interactions only, on the grid of the first, all sweeps sharing one
+    increment matrix."""
     if m < 2:
         raise ValueError("grid resolution must be >= 2")
+    spec = specs[0]
     T = spec.b - spec.a
     grid = np.linspace(*_padded_range(spec.x_vec + spec.y_vec + spec.f + spec.g, T, spec.hrw), m)
-    sweep = _Transfer(spec.hrw, spec.interaction, grid, spec.a)
+    sweeps = _on_one_grid(_Transfer(s.hrw, s.interaction, grid, s.a) for s in specs)
+    return [_log_partition(s, sweep) for s, sweep in zip(specs, sweeps)]
+
+
+def _log_partition(spec: EnsembleSpec, sweep: _Transfer) -> float:
     rows = range(spec.n_curves)
     if all(spec.interaction.bond(j).kind == "zero" for j in range(spec.a, spec.b)):
         return float(sum(_log_sweep(spec, sweep, [i]) for i in rows))
@@ -428,7 +532,7 @@ class GrandCouplingEngine(_Transfer):
         for i in range(q):
             if i:
                 nxt = nxt * _on_axes(self._emat(j), i - 1, q)
-            nxt = _contract(_flush(nxt), self.gmat.T, i)
+            nxt = _contract(_flush(nxt), self.gmat.T, i, self.bands[1])
         return _rescaled(nxt * _on_last_axis(bond, q))[0]
 
     # -- site conditionals --------------------------------------------------
@@ -493,6 +597,7 @@ class GrandCouplingEngine(_Transfer):
 
     def _fill(self, vals: np.ndarray, omega: np.ndarray) -> None:
         n, grid, bonds = self.n, self.grid, self._bonds(np.asarray(self.boundary.z_vec))
+        step = grid[1] - grid[0]  # the whole grid's: linspace differences differ in the last bit
         for p1 in range(self.k, 0, -1):
             alphas = self.bottom_alphas() if p1 == self.k else self._alphas(p1, bonds)
             beta = self._beta_init(p1) if p1 > 1 else None
@@ -503,7 +608,8 @@ class GrandCouplingEngine(_Transfer):
                     p1, p2, *alphas[p2 - 1], beta, vals[:, p1 - 1, p2 + 1], bonds[p2 - 1]
                 )
                 u = omega[:, (p1 - 1) * n + p2 - 1]
-                vals[:, p1 - 1, p2] = inverse_cdf_rows(grid, dens, u)
+                cols = _site_span(dens)
+                vals[:, p1 - 1, p2] = inverse_cdf_rows(grid[cols], dens[:, cols], u, step=step)
                 if beta is not None and p2 > 1:
                     drawn[p2 - 2] = self._w(p2 - 1, vals[:, p1 - 1, p2, None] - grid)
                     beta = self._beta_step(beta, p2 - 1, drawn[p2 - 2])
@@ -529,14 +635,20 @@ def grand_coupling_sample(
     return DiscreteLineEnsemble(curves=engine.sample(omega), t0=0, t1=T - 1)
 
 
+def _on_one_grid(sweeps):
+    """``sweeps`` on one grid, each after the first sharing its increment
+    matrix, band tables and bond matrices (keyed by Hamiltonian)."""
+    sweeps = iter(sweeps)
+    first = next(sweeps)
+    yield first
+    for sweep in sweeps:
+        sweep.gmat, sweep.bands, sweep._emats = first.gmat, first.bands, first._emats
+        yield sweep
+
+
 def _engines(boundaries, T, hrw, interaction, m, window):
     """Engines for ``boundaries`` on one window, sharing one increment matrix and bond matrices."""
-    kernel = None
-    for b in boundaries:
-        eng = GrandCouplingEngine(b, T, hrw, interaction, m, window)
-        kernel = kernel or (eng.gmat, eng._emats)
-        eng.gmat, eng._emats = kernel
-        yield eng
+    return _on_one_grid(GrandCouplingEngine(b, T, hrw, interaction, m, window) for b in boundaries)
 
 
 def coupled_gaps(

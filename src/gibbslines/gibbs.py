@@ -257,16 +257,17 @@ def acceptance_probability(spec: EnsembleSpec, m: int | None = None) -> float:
     independent free bridges, exp(log Z_H - log Z_0).
 
     Both partition functions come from ``coupling.log_partition`` on the same
-    m-point grid (default ``coupling.DEFAULT_COUPLING_GRID_M``), Z_0 with every
-    bond switched off, so a zero interaction gives exactly 1.0.  Raises
-    ``ResourceLimitError`` when the sweep would hold more than
-    ``coupling.MAX_SWEEP_STATES`` joint grid states (m^k).
+    m-point grid (default ``coupling.DEFAULT_COUPLING_GRID_M``) and one
+    increment matrix, Z_0 with every bond switched off, so a zero interaction
+    gives exactly 1.0.  Raises ``ResourceLimitError`` when the sweep would
+    hold more than ``coupling.MAX_SWEEP_STATES`` joint grid states (m^k).
     """
-    from .coupling import DEFAULT_COUPLING_GRID_M, log_partition
+    from .coupling import DEFAULT_COUPLING_GRID_M, _log_partitions
 
     m = DEFAULT_COUPLING_GRID_M if m is None else m
     free = replace(spec, interaction=InteractionSpec.zero(spec.a, spec.b))
-    return math.exp(log_partition(spec, m) - log_partition(free, m))
+    log_z, log_z0 = _log_partitions([spec, free], m)
+    return math.exp(log_z - log_z0)
 
 
 def sample_ensembles_rejection(

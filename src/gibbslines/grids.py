@@ -24,16 +24,21 @@ def trapezoid_cdf(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def inverse_cdf_rows(x_rows: np.ndarray, pdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def inverse_cdf_rows(
+    x_rows: np.ndarray, pdf_rows: np.ndarray, u: np.ndarray, *, step: float | None = None
+) -> np.ndarray:
     """Row-wise inverse-CDF draw: one uniform per row of tabulated pdf values.
 
     ``x_rows`` may be a single shared grid (1-d) or per-row grids (2-d with
-    uniform spacing per row).  Zero-mass rows raise ``PrecisionError``.
+    uniform spacing per row).  ``step`` is the spacing of every row when
+    ``x_rows`` is a slice of a longer grid, whose own step may differ from
+    ``x_rows[1] - x_rows[0]`` in the last bit.  Zero-mass rows raise
+    ``PrecisionError``.
     """
     pdf_rows = np.atleast_2d(pdf_rows)
     x_rows = np.atleast_2d(x_rows)
     n_rows, n = pdf_rows.shape
-    step = x_rows[:, 1] - x_rows[:, 0]
+    step = x_rows[:, 1] - x_rows[:, 0] if step is None else np.full(x_rows.shape[0], step)
     # the trapezoid CDF on unit spacing, then scaled by each row's step
     cdf = np.empty((n_rows, n))
     cdf[:, 0] = 0.0

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
 
 from .ensembles import DiscreteLineEnsemble
 from .reports import EmpiricalCDF, StatReport, ks_distance, ks_two_sample_critical
@@ -193,6 +192,8 @@ def gue_tw_oracle(M: int, n_samples: int, rng: np.random.Generator) -> Empirical
     diagonal N(0, 1), off-diagonal sqrt(chi^2_{2(M-1)}/2), ...,
     sqrt(chi^2_2/2); LAPACK ``dstebz`` computes only the largest eigenvalue.
     """
+    from scipy.linalg.lapack import dstebz  # loaded by the first call
+
     if M < 50:
         raise ValueError("need M >= 50 for a meaningful edge law")
     diag = rng.normal(size=(n_samples, M))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -44,6 +45,21 @@ JOBS = {
 }
 
 
+# SHA-256 of the CSV data rows of the benchmark's `couple` operation and of an
+# MCMC `ensemble` run
+FROZEN_ROWS = [
+    (["couple", "--k", "2", "--t", "16", "--raise-by", "0.5", "--samples", "50", "--seed", "0"],
+     "9a870fe1e16a6a7629e220da536930d2014e4d4c119436c02e0c56f1d84ccc73"),
+    (["couple", "--k", "2", "--t", "16", "--raise-by", "0.5", "--samples", "50", "--seed", "1"],
+     "06ffb37edcdf0e041b467449a8dfc87452b623b38cb0655537a3b416b0bb2ded"),
+    (["couple", "--k", "2", "--t", "16", "--raise-by", "0.5", "--samples", "50", "--seed", "2"],
+     "214a0e1969f9c6650ff2df7802930bfa9adcf2f355de53c73018daad1fd9893a"),
+    (["ensemble", "--k", "2", "--t", "8", "--interaction", "exp", "--sweeps", "30",
+      "--samples", "8", "--seed", "0"],
+     "f86261f0e11b0b6ced5abf5d2094042ff5261caabc7f7e7825c34e726642aae2"),
+]
+
+
 def ladder(k, T):
     x = [-2.0 * i for i in range(k)]
     return gibbs.EnsembleSpec.make(
@@ -53,11 +69,11 @@ def ladder(k, T):
 
 def test_import_leaves_out_scipy_signal_and_stats():
     # scipy.signal, which loads scipy.stats, was most of the cold-start import
-    # time of every CLI run; the runtime needs neither
-    code = (
-        "import sys, gibbslines, gibbslines.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
-    )
+    # time of every CLI run; the runtime needs neither.  scipy.fft (n-step
+    # tables), scipy.linalg (the GUE oracle) and multiprocessing (--workers)
+    # load with their first use, not with the package
+    lazy = ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.linalg", "multiprocessing")
+    code = f"import sys, gibbslines, gibbslines.cli; print([m for m in {lazy} if m in sys.modules])"
     path = [str(Path(gibbslines.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run(
@@ -125,6 +141,22 @@ class TestDeterminism:
             data.append([l for l in lines if not l.startswith(b"#")][1:])
         assert len(data[0]) == 3 and len(data[1]) == 7
         assert data[1][:3] == data[0]
+
+    def test_couple_worker_counts_bit_identical(self, tmp_path):
+        # each worker's chunk builds both engines on the run's one window
+        base = ["couple", "--k", "2", "--t", "8", "--raise-by", "0.5", "--samples", "7",
+                "--seed", "3", "--out", str(tmp_path / "cw")]
+        assert run(base + ["--workers", "1"]) == 0
+        w1 = [(tmp_path / f"cw.{ext}").read_bytes() for ext in ("csv", "json")]
+        assert run(base + ["--workers", "2"]) == 0
+        assert [(tmp_path / f"cw.{ext}").read_bytes() for ext in ("csv", "json")] == w1
+
+    @pytest.mark.parametrize("argv,digest", FROZEN_ROWS)
+    def test_rows_frozen(self, tmp_path, argv, digest):
+        # bit-for-bit performance work keeps these bytes; a change that moves
+        # outputs on purpose updates the digests and says which bytes moved
+        assert run(argv + ["--out", str(tmp_path / "f")]) == 0
+        assert hashlib.sha256(b"".join(data_lines(tmp_path / "f.csv"))).hexdigest() == digest
 
     def test_csv_format_contract(self, tmp_path):
         out = tmp_path / "c"

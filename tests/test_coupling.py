@@ -11,7 +11,7 @@ import transfer_oracle
 from gibbslines import coupling as cp
 from gibbslines import gibbs as gb
 from gibbslines.bridge import BridgeSpec, HrwSpec, sample_bridges_sequential
-from gibbslines.grids import GridDensity, trapezoid_cdf
+from gibbslines.grids import GridDensity, inverse_cdf_rows, trapezoid_cdf
 from gibbslines.reports import EmpiricalCDF, ks_distance, ks_two_sample_critical
 
 HRW = HrwSpec.log_gamma(1.0)
@@ -468,6 +468,7 @@ class TestNonzeroBox:
         # from the whole grid, and from the stack held over its own box
         rng = np.random.default_rng(20 + n_axes)
         gmat = cp._increment_matrix(HRW, np.linspace(-30.0, 15.0, m))
+        bands = cp._bands(gmat)
         whole = (slice(None),) + (slice(0, m),) * n_axes
         for trial in range(4):
             x = _stack(support, n_axes, m, rng)
@@ -479,7 +480,7 @@ class TestNonzeroBox:
                 full = transfer_oracle.contract(x.copy(), gmat, axis)
                 for box in (whole, held):
                     bufs = [np.empty(m**n_axes), np.empty(m**n_axes)]
-                    prod, out = cp._contract_box(x[box].copy(), box, gmat, axis, bufs)
+                    prod, out = cp._contract_box(x[box].copy(), box, gmat, bands, axis, bufs)
                     assert np.array_equal(cp._expanded(prod, out, m), full)
 
     @pytest.mark.parametrize("k,T,n_draws", [(1, 8, 20), (2, 8, 20), (3, 4, 6)])
@@ -567,6 +568,153 @@ class TestNonzeroBox:
                   f"{faults} page faults")
 
 
+# increment laws and grid windows whose increment matrices have bands of
+# every shape: the couple window, a two-sided band (both tails vanish), a
+# bounded support off the diagonal, and no zeros at all
+TENT_X = np.linspace(0.25, 3.0, 12)  # a support off the diagonal: gmat[a, a] = 0
+BAND_LAWS = {
+    "log-gamma-0.5": (HrwSpec.log_gamma(0.5), (-30.0, 15.0)),
+    "log-gamma-1": (HRW, (-59.4, 55.9)),
+    "log-gamma-3": (HrwSpec.log_gamma(3.0), (-30.0, 15.0)),
+    "gaussian": (HrwSpec.gaussian_test(), (-40.0, 40.0)),
+    "tabulated": (HrwSpec.tabulated(TENT_X, np.sin(np.linspace(0.0, np.pi, 12))), (-10.0, 10.0)),
+    "wide-window": (HRW, (-250.0, 250.0)),
+    "no-zeros": (HRW, (-2.0, 2.0)),
+}
+
+
+def _banded_matrices(law, m):
+    hrw, window = BAND_LAWS[law]
+    gmat = cp._increment_matrix(hrw, np.linspace(*window, m))
+    band, band_t, _ = cp._bands(gmat)
+    return [(gmat, band), (gmat.T, band_t)]
+
+
+def _assert_products_agree(got, want, m):
+    # one BLAS block holds a contracted length of 256: the same sums, bit
+    # for bit; past it a shorter contraction may block elsewhere
+    if m <= 256:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBand:
+    @pytest.mark.parametrize("law", BAND_LAWS)
+    def test_band_holds_every_nonzero(self, law):
+        m = 256
+        for mat, band in _banded_matrices(law, m):
+            # blocks tile the columns, on multiples of BAND_COLS (neighbours
+            # over the same rows are one block)
+            edges = [cols.start for cols, _ in band] + [band[-1][0].stop]
+            assert edges[0] == 0 and edges[-1] == m and all(np.diff(edges) > 0)
+            assert all(e % cp.BAND_COLS == 0 for e in edges)
+            assert all(a[1] != b[1] for a, b in zip(band, band[1:]))
+            for cols, rows in band:
+                outside = np.ones(m, bool)
+                outside[rows] = False
+                assert not mat[outside, cols].any()
+                assert rows.start % cp.BOX_QUANTUM == 0
+                assert rows.stop % cp.BOX_QUANTUM == 0 or rows.stop == m
+        gmat_band = _banded_matrices(law, m)[0][1]
+        assert (gmat_band == [(slice(0, m), slice(0, m))]) == (law == "no-zeros")
+        if law in ("gaussian", "tabulated", "wide-window"):  # rows cut on both sides
+            assert any(rows.start > 0 for _, rows in gmat_band)
+            assert any(rows.stop < m for _, rows in gmat_band)
+
+    @pytest.mark.parametrize("law", BAND_LAWS)
+    @pytest.mark.parametrize("n_axes,m", [(1, 256), (2, 256), (3, 64)])
+    def test_banded_products_are_the_full_products(self, law, n_axes, m):
+        rng = np.random.default_rng(40 + n_axes)
+        stacks = [_stack(support, n_axes, m, rng) for support in ("box", "full-width", "one-row")]
+        stacks.append(cp._flush(10.0 ** rng.uniform(-300.0, 0.0, (5,) + (m,) * n_axes)))
+        for mat, band in _banded_matrices(law, m):
+            for x in stacks:
+                for axis in range(n_axes):
+                    want = transfer_oracle.contract(x.copy(), mat, axis)
+                    assert np.array_equal(cp._contract(x.copy(), mat, axis, band), want)
+
+    @pytest.mark.parametrize("law", BAND_LAWS)
+    def test_banded_box_contraction_is_the_full_contraction(self, law):
+        # on the increment matrix as the sweep passes it (with the transposed
+        # one, a box 16 rows high moved by ulps: other small-gemm kernels);
+        # the output box is the span of the columns the input rows reach
+        m, rng = 256, np.random.default_rng(44)
+        whole = (slice(None), slice(0, m), slice(0, m))
+        mat = _banded_matrices(law, m)[0][0]
+        bands = cp._bands(mat)
+        for _ in range(3):
+            for support in ("box", "full-width", "one-entry", "one-row"):
+                x = _stack(support, 2, m, rng)
+                for axis in range(2):
+                    bufs = [np.empty(m * m), np.empty(m * m)]
+                    prod, out = cp._contract_box(x.copy(), whole, mat, bands, axis, bufs)
+                    full = transfer_oracle.contract(x.copy(), mat, axis)
+                    assert np.array_equal(cp._expanded(prod, out, m), full)
+                    rows = cp._span(x[0].any(axis=1 - axis))
+                    assert out[axis + 1] == cp._span(mat[rows].any(axis=0))
+
+    @pytest.mark.parametrize("m", [512, 1024])
+    @pytest.mark.parametrize("law", ["log-gamma-1", "gaussian"])
+    def test_larger_grids_within_bound(self, law, m):
+        rng = np.random.default_rng(45)
+        stacks = [cp._flush(rng.uniform(size=(6, m))), _stack("box", 2, m, rng)]
+        for mat, band in _banded_matrices(law, m):
+            for x in stacks:
+                for axis in range(x.ndim - 1):
+                    want = transfer_oracle.contract(x.copy(), mat, axis)
+                    _assert_products_agree(cp._contract(x.copy(), mat, axis, band), want, m)
+
+
+def _site_densities(support, m, rng, n=50):
+    """Site densities (n x m, peak 1 per row) whose nonzeros span ``support``."""
+    dens = np.zeros((n, m))
+    if support == "interior":
+        for row, (lo, hi) in zip(dens, np.sort(rng.integers(40, m - 40, (n, 2)), axis=1)):
+            row[lo : hi + 1] = rng.uniform(size=hi + 1 - lo)
+    elif support == "left-end":
+        dens[:, :37] = rng.uniform(size=(n, 37))
+    elif support == "right-end":
+        dens[:, m - 23 :] = rng.uniform(size=(n, 23))
+    elif support == "both-ends":
+        dens[:] = rng.uniform(size=(n, m))
+    elif support == "sparse":  # scattered entries over 300 decades, zeros inside
+        kept = rng.uniform(size=(n, 80)) < 0.5
+        dens[:, 60:140] = 10.0 ** rng.uniform(-300.0, 0.0, (n, 80)) * kept
+        dens[:, 100] += 1.0
+    else:  # one column
+        dens[:, int(support)] = 1.0
+    return dens / dens.max(axis=1, keepdims=True)
+
+
+class TestSiteSpan:
+    @pytest.mark.parametrize("support", ["interior", "left-end", "right-end", "both-ends", "sparse",
+                                         "0", "1", "120", "254", "255"])
+    def test_draws_over_the_span_are_the_whole_grid_draws(self, support):
+        m = 256
+        rng = np.random.default_rng(46)
+        grid = np.linspace(-59.4, 55.9, m)
+        dens = _site_densities(support, m, rng)
+        u = np.concatenate([rng.uniform(size=dens.shape[0] - 3), [1e-300, 0.5, 1.0 - 2.0**-53]])
+        cols = cp._site_span(dens)
+        nonzero = np.flatnonzero(dens.any(axis=0))
+        assert cols.start % cp.BOX_QUANTUM == 0
+        assert cols.stop % cp.BOX_QUANTUM == 0 or cols.stop == m
+        assert cols.start == 0 or cols.start < nonzero[0]
+        assert cols.stop == m or cols.stop > nonzero[-1] + 1
+        got = inverse_cdf_rows(grid[cols], dens[:, cols], u, step=grid[1] - grid[0])
+        assert np.array_equal(got, inverse_cdf_rows(grid, dens, u))
+
+    @pytest.mark.parametrize("k,T", [(1, 8), (2, 8)])
+    def test_engine_draws_match_whole_grid_draws(self, k, T, monkeypatch):
+        b = cp.BoundaryTriple([-2.0 * i for i in range(k)], [0.5 - 2.0 * i for i in range(k)],
+                              [-2.0 * k] * T)
+        omega = np.random.default_rng(47).uniform(size=(20, k * (T - 2)))
+        spanned = cp.GrandCouplingEngine(b, T, HRW).sample(omega)
+        monkeypatch.setattr(cp, "_site_span", lambda dens: slice(0, dens.shape[1]))
+        assert np.array_equal(cp.GrandCouplingEngine(b, T, HRW).sample(omega), spanned)
+
+
 class TestOneKernelPerWindow:
     def test_engines_on_one_window_share_their_matrices(self):
         T = 6
@@ -577,6 +725,7 @@ class TestOneKernelPerWindow:
         engines = list(cp._engines(boundaries, T, HRW, None, 256, window))
         for eng, b in zip(engines, boundaries):
             assert eng.gmat is engines[0].gmat and eng._emats is engines[0]._emats
+            assert eng.bands is engines[0].bands
             alone = cp.GrandCouplingEngine(b, T, HRW, None, 256, window)
             assert np.array_equal(eng.sample(omega), alone.sample(omega))
         assert len(engines[0]._emats) == 1
@@ -601,6 +750,16 @@ class TestOneKernelPerWindow:
         rep = cp.continuity_check(b, 0.5, omega[0], 2, T, HRW, halvings=2)
         assert len(built) == 2
         assert [rep[f"sup_change_delta_{i}"][0] for i in range(3)] == want_changes
+
+    def test_acceptance_probability_builds_one_increment_matrix(self, monkeypatch):
+        # the joint sweep and the free one-curve sweeps share one matrix
+        spec = _ladder(2, 8, gb.InteractionSpec.exp(0, 8), g=[-3.5] * 9)
+        built = []
+        increment_matrix = cp._increment_matrix
+        monkeypatch.setattr(cp, "_increment_matrix", lambda *a: built.append(a) or increment_matrix(*a))
+        z = gb.acceptance_probability(spec)
+        assert len(built) == 1
+        assert z == partition_oracle.acceptance_probability(spec, cp.DEFAULT_COUPLING_GRID_M)
 
 
 def _ladder(k, T, interaction, hrw=HRW, f=None, g=None):

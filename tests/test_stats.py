@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
@@ -250,7 +251,7 @@ class TestGueOracle:
         def failing(d, e, *args):
             return 0, np.zeros(d.size), None, None, 1
 
-        monkeypatch.setattr(st_mod, "dstebz", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
         with pytest.raises(np.linalg.LinAlgError):
             st_mod.gue_tw_oracle(50, 3, np.random.default_rng(0))
 
