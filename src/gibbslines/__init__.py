@@ -36,7 +36,6 @@ from .gibbs import (
 )
 from .grids import GridDensity
 from .polymer import (
-    PartitionTable,
     WeightField,
     build_partition_table,
     polymer_line_ensemble,
@@ -60,7 +59,6 @@ from .special import (
 )
 from .stats import (
     ParabolaFit,
-    ScaledEnsemble,
     gap_and_acceptance_diagnostics,
     gue_tw_oracle,
     kpz_scale,

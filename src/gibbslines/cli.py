@@ -3,7 +3,9 @@
 Every run is a pure function of (configuration, seed): per-sample generators
 are derived by index from the master seed, so the emitted files are
 bit-identical across repeat runs and across worker counts, and every file
-carries the full effective configuration.
+carries the full effective configuration.  Each subcommand takes, and
+records, exactly the options it reads (``_COMMANDS``); any other option is a
+usage error.
 
 Exit codes: 0 success, 2 usage error, 3 precision error, 4 resource error.
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,55 +30,48 @@ from .errors import PrecisionError, ResourceLimitError
 from .io import write_csv, write_json
 from .special import scaling_constants
 
-__all__ = ["RunConfig", "main", "run_polymer", "run_bridge", "run_ensemble", "run_couple", "run_stats"]
+__all__ = ["RunConfig", "main"]
 
-_DEFAULTS = {
-    "theta": 1.0,
-    "n": 8,
-    "k": 1,
-    "t": 10,
-    "r": 1.0,
-    "samples": 100,
-    "sweeps": 0,
-    "grid": 0,  # 0: per-module default
-    "seed": 0,
-    "workers": 1,
-    "format": "csv",
-    "y": 0.0,
-    "spread": 2.0,
-    "raise_by": 0.0,
-    "interaction": "exp",
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# every option a subcommand may read, by destination: its argparse keywords,
+# default included; ``_COMMANDS`` says which subcommand reads which
+_OPTIONS = {
+    "theta": {"type": float, "default": 1.0},
+    "n": {"type": int, "default": 8, "help": "polymer size N"},
+    "k": {"type": int, "default": 1, "help": "number of curves"},
+    "t": {"type": int, "default": 10, "help": "steps (bridge, ensemble) or time points (couple)"},
+    "r": {"type": float, "default": 1.0, "help": "window half-width in N^(2/3) units"},
+    "samples": {"type": int, "default": 100},
+    "sweeps": {"type": int, "default": 0, "help": "MCMC sweeps; 0 samples by rejection"},
+    "grid": {"type": int, "default": 0, "help": "grid resolution; 0 keeps the defaults"},
+    "seed": {"type": int, "default": 0},
+    "workers": {"type": _at_least_one, "default": 1},
+    "format": {"choices": ["csv", "json"], "default": "csv"},
+    "y": {"type": float, "default": 0.0, "help": "bridge exit height"},
+    "spread": {"type": float, "default": 2.0, "help": "curve ladder spacing"},
+    "raise_by": {"type": float, "default": 0.0, "help": "upward shift of the high boundary"},
+    "interaction": {"choices": ["exp", "zero"], "default": "exp"},
+    "input": {"help": "ensemble CSV to read"},
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective parameters of one subcommand invocation."""
-
-    command: str
-    theta: float
-    n: int
-    k: int
-    t: int
-    r: float
-    samples: int
-    sweeps: int
-    grid: int
-    seed: int
-    workers: int
-    out: str
-    format: str
-    y: float
-    spread: float
-    raise_by: float
-    interaction: str
-    input: str | None = None
+class RunConfig(argparse.Namespace):
+    """Effective parameters of one subcommand invocation: ``command``,
+    ``out``, ``config`` and the options the subcommand reads."""
 
     def to_dict(self) -> dict:
         # workers is execution topology, not experiment configuration: results
         # are independent of it, and leaving it out keeps emitted files
-        # bit-identical across worker counts
-        return {k: v for k, v in self.__dict__.items() if v is not None and k != "workers"}
+        # bit-identical across worker counts; a config file's values are
+        # recorded as the options they set
+        return {k: v for k, v in vars(self).items() if k not in ("workers", "config")}
 
 
 def task_seed(master_seed: int, index: int):
@@ -89,31 +83,82 @@ def _task_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(task_seed(master_seed, index))
 
 
-def _map_tasks(fn, payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    from multiprocessing import Pool  # loaded only by runs with workers
+def _ladder(cfg: RunConfig) -> list[float]:
+    """Both end heights of the k curves: 0 (as -0.0) downward, ``spread`` apart."""
+    return [-cfg.spread * i for i in range(cfg.k)]
 
-    with Pool(processes=workers) as pool:
-        return pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * workers)))
+
+def _ladder_spec(cfg: RunConfig) -> gibbs_mod.EnsembleSpec:
+    T, x = cfg.t, _ladder(cfg)
+    inter = (
+        gibbs_mod.InteractionSpec.exp(0, T)
+        if cfg.interaction == "exp"
+        else gibbs_mod.InteractionSpec.zero(0, T)
+    )
+    return gibbs_mod.EnsembleSpec.make(
+        1, cfg.k, 0, T, x, x, bridge_mod.HrwSpec.log_gamma(cfg.theta), inter
+    )
+
+
+def _chunk_task(payload):
+    """The samples of a contiguous chunk of indices, sample i reading its own
+    stream ``_task_rng(seed, i)``: (samples, extra), extra being the rejection
+    proposals spent by ``ensemble`` and ``eps_grid`` for ``couple``.
+    ``polymer`` makes one call per index, the others one batched call.
+    Rejection may spend 10**6 proposals per sample of the chunk in total.
+    Every ``couple`` chunk builds its engines on the run's one window, and a
+    draw does not depend on its batch."""
+    cfg, indices = payload
+    rngs = [_task_rng(cfg.seed, int(i)) for i in indices]
+    n = len(rngs)
+    if cfg.command == "polymer":
+        ensembles = [polymer_mod.polymer_line_ensemble(cfg.theta, cfg.n, cfg.k, r) for r in rngs]
+        return np.array([ens.curves for ens in ensembles]), 0
+    hrw = bridge_mod.HrwSpec.log_gamma(cfg.theta)
+    if cfg.command == "couple":
+        k, T = cfg.k, cfg.t
+        x = _ladder(cfg)
+        b_low = coupling_mod.BoundaryTriple(x, x, [-cfg.spread * k] * T)
+        # a NaN or infinite --raise-by is refused here as non-finite data, a
+        # negative one by ``coupled_gaps`` as unordered data
+        b_high = b_low.shifted(cfg.raise_by)
+        omega = np.array([rng.uniform(size=k * (T - 2)) for rng in rngs]).reshape(n, k * (T - 2))
+        m = cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M
+        return coupling_mod.coupled_gaps(b_low, b_high, omega, T, hrw, None, m)
+    kwargs = {"m": cfg.grid} if cfg.grid else {}
+    if cfg.command == "bridge":
+        spec = bridge_mod.BridgeSpec(0, cfg.t, 0.0, cfg.y, hrw)
+        return bridge_mod.sample_bridges_sequential(spec, n, rngs, **kwargs), 0
+    spec = _ladder_spec(cfg)
+    if cfg.sweeps > 0:
+        return gibbs_mod.sample_ensembles_mcmc(spec, n, cfg.sweeps, rngs, **kwargs), 0
+    return gibbs_mod.sample_ensembles_rejection(spec, n, rngs, 10**6 * n, **kwargs)
+
+
+def _sample_chunks(cfg: RunConfig) -> tuple[np.ndarray, list]:
+    """All samples of a run, one `_chunk_task` call per worker, and the extra
+    of each call."""
+    chunks = np.array_split(np.arange(cfg.samples), min(cfg.workers, max(cfg.samples, 1)))
+    payloads = [(cfg, c) for c in chunks]
+    if len(payloads) == 1:
+        results = [_chunk_task(payloads[0])]
+    else:
+        from multiprocessing import Pool  # loaded only by runs with workers
+
+        with Pool(processes=len(payloads)) as pool:
+            results = pool.map(_chunk_task, payloads)
+    return np.concatenate([r[0] for r in results]), [r[1] for r in results]
 
 
 # ---------------------------------------------------------------- polymer --
 
-def _polymer_task(payload):
-    theta, N, k, seed, index = payload
-    ens = polymer_mod.polymer_line_ensemble(theta, N, k, seed=task_seed(seed, index))
-    return ens.curves
-
-
 def run_polymer(cfg: RunConfig) -> list[str]:
-    theta, N, k = cfg.theta, cfg.n, cfg.k
+    N, k = cfg.n, cfg.k
     if k < 1 or k > N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
     if cfg.r * N ** (2.0 / 3.0) > N:
         raise ValueError(f"window r={cfg.r} needs r N^(2/3) <= N; reduce r or raise N")
-    payloads = [(theta, N, k, cfg.seed, i) for i in range(cfg.samples)]
-    curves = _map_tasks(_polymer_task, payloads, cfg.workers)
+    curves, _ = _sample_chunks(cfg)
     ensembles = [DiscreteLineEnsemble(c, -N, N) for c in curves]
     summary = _ensemble_summaries(ensembles, cfg)
     written = _emit(cfg, _ensemble_rows(curves, -N), ["sample", "i", "j", "value"], summary)
@@ -164,44 +209,7 @@ def _ensemble_summaries(ensembles, cfg: RunConfig) -> dict:
     return out
 
 
-# ------------------------------------------------------- bridge / ensemble --
-
-def _ladder_spec(cfg: RunConfig) -> gibbs_mod.EnsembleSpec:
-    k, T = cfg.k, cfg.t
-    x = [-cfg.spread * i for i in range(k)]
-    inter = (
-        gibbs_mod.InteractionSpec.exp(0, T)
-        if cfg.interaction == "exp"
-        else gibbs_mod.InteractionSpec.zero(0, T)
-    )
-    return gibbs_mod.EnsembleSpec.make(
-        1, k, 0, T, x, x, bridge_mod.HrwSpec.log_gamma(cfg.theta), inter
-    )
-
-
-def _chunk_task(payload):
-    """One batched sampler call on a contiguous chunk of sample indices, sample
-    i reading its own stream ``_task_rng(seed, i)``: (samples, attempts).
-    Rejection may spend 10**6 proposals per sample of the chunk in total."""
-    cfg, indices = payload
-    rngs = [_task_rng(cfg.seed, int(i)) for i in indices]
-    n = len(rngs)
-    kwargs = {"m": cfg.grid} if cfg.grid else {}
-    if cfg.command == "bridge":
-        spec = bridge_mod.BridgeSpec(0, cfg.t, 0.0, cfg.y, bridge_mod.HrwSpec.log_gamma(cfg.theta))
-        return bridge_mod.sample_bridges_sequential(spec, n, rngs, **kwargs), 0
-    spec = _ladder_spec(cfg)
-    if cfg.sweeps > 0:
-        return gibbs_mod.sample_ensembles_mcmc(spec, n, cfg.sweeps, rngs, **kwargs), 0
-    return gibbs_mod.sample_ensembles_rejection(spec, n, rngs, 10**6 * n, **kwargs)
-
-
-def _sample_chunks(cfg: RunConfig) -> tuple[np.ndarray, int]:
-    """All samples of a run, one batched call per worker chunk."""
-    chunks = np.array_split(np.arange(cfg.samples), min(cfg.workers, max(cfg.samples, 1)))
-    results = _map_tasks(_chunk_task, [(cfg, c) for c in chunks], cfg.workers)
-    return np.concatenate([r[0] for r in results]), int(sum(r[1] for r in results))
-
+# ------------------------------------------------ bridge / ensemble / couple --
 
 def run_bridge(cfg: RunConfig) -> list[str]:
     arr, _ = _sample_chunks(cfg)
@@ -217,43 +225,18 @@ def run_ensemble(cfg: RunConfig) -> list[str]:
     m = cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M
     z = gibbs_mod.acceptance_probability(_ladder_spec(cfg), m)  # fails fast past the state cap
     curves, attempts = _sample_chunks(cfg)
-    summary = {"acceptance": {"estimate": z, "grid_m": m, "attempts": attempts}}
+    summary = {"acceptance": {"estimate": z, "grid_m": m, "attempts": int(sum(attempts))}}
     return _emit(cfg, _ensemble_rows(curves, 0), ["sample", "i", "j", "value"], summary)
 
 
-# ----------------------------------------------------------------- couple --
-
-def _couple_task(payload):
-    """Both boundary data of a `couple` run on the draws of a contiguous chunk
-    of sample indices, sample i reading its own stream ``_task_rng(seed, i)``:
-    (per-draw gaps, eps_grid).  Every chunk builds its engines on the same
-    window, and a draw does not depend on its batch."""
-    cfg, b_low, b_high, indices = payload
-    k, T = cfg.k, cfg.t
-    omega = np.array([_task_rng(cfg.seed, int(i)).uniform(size=k * (T - 2)) for i in indices])
-    hrw = bridge_mod.HrwSpec.log_gamma(cfg.theta)
-    m = cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M
-    return coupling_mod.coupled_gaps(
-        b_low, b_high, omega.reshape(len(indices), k * (T - 2)), T, hrw, None, m
-    )
-
-
 def run_couple(cfg: RunConfig) -> list[str]:
-    k, T = cfg.k, cfg.t
-    x = [-cfg.spread * i for i in range(k)]
-    b_low = coupling_mod.BoundaryTriple(x, x, [-cfg.spread * k] * T)
-    # a NaN or infinite --raise-by is refused here as non-finite data, a
-    # negative one by ``coupled_gaps`` as unordered data
-    b_high = b_low.shifted(cfg.raise_by)
-    chunks = np.array_split(np.arange(cfg.samples), min(cfg.workers, max(cfg.samples, 1)))
-    results = _map_tasks(_couple_task, [(cfg, b_low, b_high, c) for c in chunks], cfg.workers)
-    gaps = np.concatenate([r[0] for r in results])
+    gaps, eps_grid = _sample_chunks(cfg)
     rows = [(i, float(v)) for i, v in enumerate(gaps)]
     summary = {
         "max_violation": float(gaps.max(initial=0.0)),
         "n_draws": cfg.samples,
         "grid_m": cfg.grid or coupling_mod.DEFAULT_COUPLING_GRID_M,
-        "eps_grid": results[0][1],
+        "eps_grid": eps_grid[0],
     }
     return _emit(cfg, rows, ["sample", "violation"], summary)
 
@@ -308,76 +291,57 @@ def _emit(cfg: RunConfig, rows, header, summary: dict) -> list[str]:
     return written
 
 
+# each subcommand: its runner and the options it reads, besides --out and --config
+_COMMANDS = {
+    "polymer": (run_polymer, "theta n k r samples grid seed workers format"),
+    "bridge": (run_bridge, "theta t y samples grid seed workers format"),
+    "ensemble": (
+        run_ensemble, "theta k t spread interaction samples sweeps grid seed workers format"
+    ),
+    "couple": (run_couple, "theta k t spread raise_by samples grid seed workers format"),
+    "stats": (run_stats, "input theta n r grid format"),
+}
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gibbslines",
-        description="Line-ensemble simulation runner (polymer / bridge / ensemble / couple / stats)",
+        prog="gibbslines", description="Line-ensemble simulation runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("polymer", "bridge", "ensemble", "couple", "stats"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="key=value defaults file")
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--n", type=int, default=None, help="polymer size N")
-        p.add_argument("--k", type=int, default=None, help="number of curves")
-        p.add_argument("--t", type=int, default=None, help="number of bridge steps")
-        p.add_argument("--r", type=float, default=None, help="window half-width in N^(2/3) units")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--sweeps", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None, help="grid resolution override")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", type=str, required=True, help="output path prefix")
-        p.add_argument("--format", type=str, choices=["csv", "json"], default=None)
-        p.add_argument("--y", type=float, default=None, help="bridge exit height")
-        p.add_argument("--spread", type=float, default=None, help="curve ladder spacing")
-        p.add_argument("--raise-by", dest="raise_by", type=float, default=None)
-        p.add_argument("--interaction", type=str, choices=["exp", "zero"], default=None)
-        p.add_argument("--input", type=str, default=None, help="input CSV (stats)")
+    for name, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--out", required=True, help="output path prefix")
+        p.add_argument("--config", help="file of key=value lines, read as options before these")
+        for key in options.split():
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    for line in Path(path).read_text().splitlines():
+def _parse(argv: list[str]) -> RunConfig:
+    """The command line, and a ``--config`` file's ``key=value`` lines placed
+    before its options as ``--key=value``, so the command line wins."""
+    parser = _build_parser()
+    cfg = parser.parse_args(argv, namespace=RunConfig())
+    if cfg.config is None:
+        return cfg
+    try:
+        text = Path(cfg.config).read_text()
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
+    file_args = []
+    for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in file_cfg:
-            merged[key] = type(default)(file_cfg[key])
-        else:
-            merged[key] = default
-    if merged["workers"] < 1:
-        raise ValueError("workers must be >= 1")
-    return RunConfig(command=args.command, out=args.out, input=args.input, **merged)
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            file_args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return parser.parse_args([argv[0], *file_args, *argv[1:]], namespace=RunConfig())
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    runners = {
-        "polymer": run_polymer,
-        "bridge": run_bridge,
-        "ensemble": run_ensemble,
-        "couple": run_couple,
-        "stats": run_stats,
-    }
+    cfg = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = _resolve_config(args)
-        written = runners[args.command](cfg)
+        written = _COMMANDS[cfg.command][0](cfg)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -335,8 +335,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     # stats round trip on the polymer CSV
     assert (
         cli.main(
-            ["stats", "--input", str(tmp_path / "polymer.csv"), "--n", "4", "--k", "2",
-             "--seed", "17", "--workers", "4", "--out", str(tmp_path / "stats")]
+            ["stats", "--input", str(tmp_path / "polymer.csv"), "--n", "4",
+             "--out", str(tmp_path / "stats")]
         )
         == 0
     )

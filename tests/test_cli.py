@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 
 import gibbslines
 from gibbslines import bridge, cli, coupling, gibbs
+from gibbslines.io import format_float
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -187,6 +191,140 @@ class TestPolymerPaperRegime:
         assert files[0] == files[1]
 
 
+# the options each subcommand reads, besides --out and --config; every other
+# (subcommand, option) pair is refused
+READS = {
+    "polymer": "theta n k r samples grid seed workers format",
+    "bridge": "theta t y samples grid seed workers format",
+    "ensemble": "theta k t spread interaction samples sweeps grid seed workers format",
+    "couple": "theta k t spread raise_by samples grid seed workers format",
+    "stats": "input theta n r grid format",
+}
+OPTIONS = ("theta n k t r samples sweeps grid seed workers format y spread raise_by "
+           "interaction input").split()
+REFUSED = [(c, o) for c in READS for o in OPTIONS if o not in READS[c].split()]
+VALID = {"format": "csv", "interaction": "zero", "input": "in.csv"}  # the others take "1"
+
+# a small run of each subcommand; `stats` reads the `polymer` run's CSV
+SMALL = {
+    "polymer": ["polymer", "--n", "4", "--k", "2", "--samples", "2"],
+    "bridge": ["bridge", "--t", "4", "--samples", "2"],
+    "ensemble": ["ensemble", "--k", "2", "--t", "4", "--samples", "2"],
+    "couple": ["couple", "--k", "1", "--t", "4", "--samples", "2"],
+    "stats": ["stats", "--n", "4"],
+}
+
+
+def metadata(path):
+    """The `# key=value` block of a CSV as a dict of strings."""
+    lines = Path(path).read_text().splitlines()
+    return dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+
+
+class TestOptionSets:
+    def test_parser_pairs(self):
+        # 54 (subcommand, option) pairs, --out and --config included; the
+        # other 36 are refused
+        parser = cli._build_parser()
+        pairs = {(c, key) for c in READS for key in vars(parser.parse_args([c, "--out", "x"]))}
+        fixed = ["command", "out", "config"]
+        assert pairs == {(c, o) for c in READS for o in READS[c].split() + fixed}
+        assert len(pairs) - len(READS) == 54 and len(REFUSED) == 36
+
+    @pytest.mark.parametrize("cmd,opt", REFUSED)
+    def test_unread_option_refused(self, tmp_path, cmd, opt):
+        # an option the subcommand does not read is a usage error, not a
+        # recorded no-op (e.g. `couple --interaction zero`)
+        argv = SMALL[cmd] + ["--" + opt.replace("_", "-"), VALID.get(opt, "1")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd,line", [
+        ("ensemble", "interaction=Exp"),
+        ("polymer", "format=xml"),
+        ("polymer", "samples=abc"),
+        ("polymer", "frobnicate=1"),
+        ("polymer", "sample=5"),  # no abbreviations
+        ("couple", "sweeps=3"),
+    ])
+    def test_config_file_value_refused(self, tmp_path, cmd, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# one bad line\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, "--config", str(cfg), "--samples", "2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_missing_config_file_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["bridge", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    def test_workers_below_one_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["bridge", "--workers", "0", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd", list(READS))
+    def test_recorded_config_is_the_option_set(self, tmp_path, cmd):
+        argv = SMALL[cmd] + ["--out", str(tmp_path / cmd)]
+        if cmd == "stats":
+            assert run(SMALL["polymer"] + ["--out", str(tmp_path / "poly")]) == 0
+            argv += ["--input", str(tmp_path / "poly.csv")]
+        assert run(argv) == 0
+        keys = set(READS[cmd].split()) - {"workers"} | {"command", "out"}
+        parsed = vars(cli._build_parser().parse_args(argv))
+        expected = {key: parsed[key] for key in keys}
+        recorded = json.loads((tmp_path / f"{cmd}.json").read_text())["config"]
+        assert recorded == expected
+        block = metadata(tmp_path / f"{cmd}.csv")
+        assert block == {key: format_float(v) for key, v in expected.items()}
+
+    def test_recorded_block_is_a_config_file(self, tmp_path):
+        # a run's `# key=value` block, less command and out, reruns it
+        argv = ["couple", "--k", "2", "--t", "5", "--raise-by", "0.5", "--samples", "3",
+                "--seed", "2", "--spread", "1.5"]
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+        block = metadata(tmp_path / "a.csv")
+        assert block["raise_by"] == "0.5"
+        cfg = tmp_path / "a.cfg"
+        lines = [f"{k}={v}\n" for k, v in block.items() if k not in ("command", "out")]
+        cfg.write_text("".join(lines))
+        assert run(["couple", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert data_lines(tmp_path / "b.csv") == data_lines(tmp_path / "a.csv")
+        assert metadata(tmp_path / "b.csv") == dict(block, out=str(tmp_path / "b"))
+
+    def test_readme_cli_lines_parse(self):
+        # README's CLI examples use only options their subcommands read
+        block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+        lines = [l for l in block.splitlines() if l.startswith("gibbslines ")]
+        assert sorted(shlex.split(l)[1] for l in lines) == sorted(READS)
+        for line in lines:
+            cli._build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_option_table(self):
+        # README's option table: which subcommand takes which option, and the defaults
+        text = README.read_text().split("## CLI", 1)[1]
+        rows = [l.split("|")[1:-1] for l in text.splitlines() if l.startswith("| `--")]
+        head = [c.strip() for c in text.split("| option |", 1)[1].splitlines()[0].split("|")]
+        cmds = head[1:-1]
+        assert cmds == list(READS)
+        table = {cmd: {} for cmd in cmds}
+        for cells in rows:
+            opt = cells[0].strip().strip("`")[2:].replace("-", "_")
+            for cmd, mark in zip(cmds, cells[2:]):
+                if mark.strip() == "x":
+                    table[cmd][opt] = cells[1].strip()
+        for cmd in cmds:
+            defaults = vars(cli._build_parser().parse_args([cmd, "--out", "x"]))
+            for key in ("command", "out", "config"):
+                del defaults[key]
+            assert set(table[cmd]) == set(READS[cmd].split())
+            assert table[cmd] == {k: "—" if v is None else str(v) for k, v in defaults.items()}
+
+
 class TestUsageErrors:
     def test_window_too_large(self, tmp_path):
         code = run(["polymer", "--n", "4", "--r", "3", "--out", str(tmp_path / "x")])
@@ -259,8 +397,7 @@ class TestSubcommands:
         ]) == 0
         out2 = tmp_path / "redo"
         assert run([
-            "stats", "--input", str(tmp_path / "poly.csv"), "--n", "4", "--k", "2",
-            "--seed", "3", "--out", str(out2),
+            "stats", "--input", str(tmp_path / "poly.csv"), "--n", "4", "--out", str(out2),
         ]) == 0
         a = json.loads((tmp_path / "poly.json").read_text())
         b = json.loads((tmp_path / "redo.json").read_text())
